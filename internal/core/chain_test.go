@@ -119,53 +119,56 @@ func TestChainPoolAccountingProperty(t *testing.T) {
 func TestChainRefObserve(t *testing.T) {
 	ch := chain{id: 3, gen: 1}
 	cr := chainRef{ch: ch, delay: 7, headLoc: 2}
+	// ticks is the queue's countdown clock: one tick is one cycle's
+	// self-timed countdown step.
+	var ticks int64
 
 	// Advance: delay -2, headLoc -1.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
+	cr.observe(signal{ch: ch, typ: sigAdvance}, ticks)
 	if cr.delay != 5 || cr.headLoc != 1 || cr.selfTimed {
 		t.Fatalf("after advance: %+v", cr)
 	}
 	// Signals for other chains (or other generations) are ignored.
-	cr.observe(signal{ch: chain{id: 3, gen: 2}, typ: sigAdvance})
-	cr.observe(signal{ch: chain{id: 4, gen: 1}, typ: sigAdvance})
+	cr.observe(signal{ch: chain{id: 3, gen: 2}, typ: sigAdvance}, ticks)
+	cr.observe(signal{ch: chain{id: 4, gen: 1}, typ: sigAdvance}, ticks)
 	if cr.delay != 5 || cr.headLoc != 1 {
 		t.Fatalf("foreign signal applied: %+v", cr)
 	}
 	// Second advance reaches headLoc 0.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
+	cr.observe(signal{ch: ch, typ: sigAdvance}, ticks)
 	if cr.delay != 3 || cr.headLoc != 0 || cr.selfTimed {
 		t.Fatalf("after second advance: %+v", cr)
 	}
 	// Advance with headLoc 0 is the issue assertion: self-timed mode.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if !cr.selfTimed || cr.delay != 3 {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, ticks)
+	if !cr.selfTimed || cr.value(ticks) != 3 {
 		t.Fatalf("issue assertion mishandled: %+v", cr)
 	}
 	// Self-timed countdown.
-	cr.tick()
-	cr.tick()
-	if cr.delay != 1 {
+	ticks++
+	ticks++
+	if cr.value(ticks) != 1 {
 		t.Fatalf("after ticks: %+v", cr)
 	}
 	// Suspend pauses, resume continues.
-	cr.observe(signal{ch: ch, typ: sigSuspend})
-	cr.tick()
-	if cr.delay != 1 {
+	cr.observe(signal{ch: ch, typ: sigSuspend}, ticks)
+	ticks++
+	if cr.value(ticks) != 1 {
 		t.Fatal("tick while suspended changed delay")
 	}
-	cr.observe(signal{ch: ch, typ: sigResume})
-	cr.tick()
-	if cr.delay != 0 {
+	cr.observe(signal{ch: ch, typ: sigResume}, ticks)
+	ticks++
+	if cr.value(ticks) != 0 {
 		t.Fatal("resume did not restart countdown")
 	}
 	// Delay floors at zero.
-	cr.tick()
-	if cr.delay != 0 {
+	ticks++
+	if cr.value(ticks) != 0 {
 		t.Fatal("delay went negative")
 	}
 	// Stale advance after self-timed is ignored.
-	cr.observe(signal{ch: ch, typ: sigAdvance})
-	if cr.delay != 0 || !cr.selfTimed {
+	cr.observe(signal{ch: ch, typ: sigAdvance}, ticks)
+	if cr.value(ticks) != 0 || !cr.selfTimed {
 		t.Fatal("stale advance applied")
 	}
 }
@@ -173,7 +176,7 @@ func TestChainRefObserve(t *testing.T) {
 func TestChainRefDelayFloor(t *testing.T) {
 	ch := chain{id: 1}
 	cr := chainRef{ch: ch, delay: 1, headLoc: 3}
-	cr.observe(signal{ch: ch, typ: sigAdvance})
+	cr.observe(signal{ch: ch, typ: sigAdvance}, 0)
 	if cr.delay != 0 {
 		t.Fatalf("delay = %d, want floor 0", cr.delay)
 	}
@@ -210,44 +213,45 @@ func TestWirePipe(t *testing.T) {
 func TestRegEntry(t *testing.T) {
 	ch := chain{id: 2}
 	re := regEntry{valid: true, ch: ch, latency: 5, headLoc: 2}
-	if !re.outstanding() {
+	var ticks int64
+	if !re.outstanding(ticks) {
 		t.Fatal("pending value should be outstanding")
 	}
 	// Promotion signals decrement head location but leave latency alone
 	// (it is relative to head issue).
-	re.observe(signal{ch: ch, typ: sigAdvance})
+	re.observe(signal{ch: ch, typ: sigAdvance}, ticks)
 	if re.headLoc != 1 || re.latency != 5 {
 		t.Fatalf("after advance: %+v", re)
 	}
-	re.observe(signal{ch: ch, typ: sigAdvance})
-	re.observe(signal{ch: ch, typ: sigAdvance}) // issue
+	re.observe(signal{ch: ch, typ: sigAdvance}, ticks)
+	re.observe(signal{ch: ch, typ: sigAdvance}, ticks) // issue
 	if !re.selfTimed {
 		t.Fatal("issue assertion should start self-timing")
 	}
-	re.tick()
-	if re.latency != 4 {
-		t.Fatalf("latency = %d", re.latency)
+	ticks++
+	if re.value(ticks) != 4 {
+		t.Fatalf("latency = %d", re.value(ticks))
 	}
-	re.observe(signal{ch: ch, typ: sigSuspend})
-	re.tick()
-	if re.latency != 4 {
+	re.observe(signal{ch: ch, typ: sigSuspend}, ticks)
+	ticks++
+	if re.value(ticks) != 4 {
 		t.Fatal("suspended row ticked")
 	}
-	re.observe(signal{ch: ch, typ: sigResume})
+	re.observe(signal{ch: ch, typ: sigResume}, ticks)
 	for i := 0; i < 10; i++ {
-		re.tick()
+		ticks++
 	}
-	if re.latency != 0 {
-		t.Fatalf("latency floor: %d", re.latency)
+	if re.value(ticks) != 0 {
+		t.Fatalf("latency floor: %d", re.value(ticks))
 	}
-	if re.outstanding() {
+	if re.outstanding(ticks) {
 		t.Fatal("self-timed zero-latency value is available for scheduling (§3.3)")
 	}
 	// Invalid rows ignore everything.
 	var dead regEntry
-	dead.observe(signal{ch: ch, typ: sigAdvance})
-	dead.tick()
-	if dead.valid || dead.outstanding() {
+	dead.observe(signal{ch: ch, typ: sigAdvance}, ticks)
+	ticks++
+	if dead.valid || dead.outstanding(ticks) {
 		t.Fatal("invalid row changed state")
 	}
 }
@@ -296,22 +300,23 @@ func TestConfigValidate(t *testing.T) {
 func TestChainRefInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, delay, headLoc uint8) bool {
 		ch := chain{id: 1}
-		cr := chainRef{ch: ch, delay: int(delay % 64), headLoc: int(headLoc % 16)}
+		cr := chainRef{ch: ch, delay: int32(delay % 64), headLoc: int32(headLoc % 16)}
+		var ticks int64
 		wasSelfTimed := false
 		for _, op := range ops {
 			switch op % 5 {
 			case 0:
-				cr.observe(signal{ch: ch, typ: sigAdvance})
+				cr.observe(signal{ch: ch, typ: sigAdvance}, ticks)
 			case 1:
-				cr.observe(signal{ch: ch, typ: sigSuspend})
+				cr.observe(signal{ch: ch, typ: sigSuspend}, ticks)
 			case 2:
-				cr.observe(signal{ch: ch, typ: sigResume})
+				cr.observe(signal{ch: ch, typ: sigResume}, ticks)
 			case 3:
-				cr.tick()
+				ticks++
 			case 4:
-				cr.observe(signal{ch: chain{id: 2}, typ: sigAdvance}) // foreign
+				cr.observe(signal{ch: chain{id: 2}, typ: sigAdvance}, ticks) // foreign
 			}
-			if cr.delay < 0 || cr.headLoc < 0 {
+			if cr.value(ticks) < 0 || cr.delay < 0 || cr.headLoc < 0 {
 				return false
 			}
 			if wasSelfTimed && !cr.selfTimed {
@@ -332,22 +337,23 @@ func TestRegEntryInvariantProperty(t *testing.T) {
 	f := func(ops []uint8, latency, headLoc uint8) bool {
 		ch := chain{id: 3}
 		re := regEntry{valid: true, ch: ch, latency: int(latency % 64), headLoc: int(headLoc % 16)}
+		var ticks int64
 		wasAvailable := false
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
-				re.observe(signal{ch: ch, typ: sigAdvance})
+				re.observe(signal{ch: ch, typ: sigAdvance}, ticks)
 			case 1:
-				re.observe(signal{ch: ch, typ: sigSuspend})
+				re.observe(signal{ch: ch, typ: sigSuspend}, ticks)
 			case 2:
-				re.observe(signal{ch: ch, typ: sigResume})
+				re.observe(signal{ch: ch, typ: sigResume}, ticks)
 			case 3:
-				re.tick()
+				ticks++
 			}
-			if re.latency < 0 || re.headLoc < 0 {
+			if re.value(ticks) < 0 || re.latency < 0 || re.headLoc < 0 {
 				return false
 			}
-			avail := !re.outstanding()
+			avail := !re.outstanding(ticks)
 			if wasAvailable && !avail {
 				return false // availability is absorbing
 			}

@@ -32,13 +32,27 @@ func (w *wirePipe) clone() *wirePipe {
 	return n
 }
 
-// clone returns an independent copy of the register information table with
-// producer pointers remapped through m.
+// clone returns an independent copy of the register information table,
+// row index included, with producer pointers remapped through m.
 func (t regTable) clone(m *uop.CloneMap) regTable {
-	n := make(regTable, len(t))
-	copy(n, t)
-	for i := range n {
-		n[i].producer = m.Get(n[i].producer)
+	n := regTable{rows: make([]regEntry, len(t.rows)), byCh: cloneLists(t.byCh)}
+	copy(n.rows, t.rows)
+	for i := range n.rows {
+		n.rows[i].producer = m.Get(n.rows[i].producer)
+	}
+	return n
+}
+
+// cloneLists deep-copies a slice of per-wire lists position by position.
+func cloneLists[T any](ls [][]T) [][]T {
+	if ls == nil {
+		return nil
+	}
+	n := make([][]T, len(ls))
+	for i, l := range ls {
+		if l != nil {
+			n[i] = append(make([]T, 0, len(l)), l...)
+		}
 	}
 	return n
 }
@@ -55,43 +69,43 @@ func (e *entry) CloneIQ(clone *uop.UOp) any {
 	return ne
 }
 
-// Clone implements iq.Queue: a deep copy of the segments, chain pool,
-// wire pipeline, register table and predictors, with every held
-// instruction remapped through m. Each resident entry's clone is the one
-// CloneIQ attached to the remapped instruction, so segments and uops
-// agree on entry identity. Scratch buffers and the entry freelist are not
-// carried over.
+// Clone implements iq.Queue: a deep copy of the slot space, chain pool,
+// wire pipeline, register table, predictors and event indices, with every
+// held instruction remapped through m. Entry handles are stable, so the
+// slots, wire member lists, eligibility heap and fresh list copy position
+// by position; the entry array maps each handle to the entry
+// CloneIQ attached to the remapped instruction, so segments and uops agree
+// on entry identity. Free handles in the entry pool stay free under the
+// same ids, without their entry objects, so the clone hands out the
+// handles the original would. Scratch buffers are not carried over.
 func (q *SegmentedIQ) Clone(m *uop.CloneMap) iq.Queue {
 	n := new(SegmentedIQ)
 	*n = *q
 	n.candScratch = nil
 	n.outScratch = nil
-	n.moveReady = nil
-	n.moveStore = nil
-	n.entryPool = nil
-	n.segs = make([][]*entry, len(q.segs))
-	// byID is rebuilt from the cloned segments: issued entries were
-	// untracked at issue, so the scoreboard never dereferences their
-	// (nil) slots.
+	n.slots = append([]int32(nil), q.slots...)
+	n.segW = cloneLists(q.segW)
+	n.segLen = append([]int(nil), q.segLen...)
 	n.byID = make([]*entry, len(q.byID))
-	for k, seg := range q.segs {
-		if seg == nil {
-			continue
+	for h, e := range q.byID {
+		if e != nil && e.u != nil {
+			n.byID[h] = m.Get(e.u).IQ.(*entry)
 		}
-		ns := make([]*entry, len(seg))
-		for i, e := range seg {
-			ne := m.Get(e.u).IQ.(*entry)
-			ns[i] = ne
-			n.byID[ne.id] = ne
-		}
-		n.segs[k] = ns
 	}
-	n.readyW = make([][]uint64, len(q.readyW))
-	n.storeW = make([][]uint64, len(q.storeW))
-	for k := range q.readyW {
-		n.readyW[k] = append([]uint64(nil), q.readyW[k]...)
-		n.storeW[k] = append([]uint64(nil), q.storeW[k]...)
+	n.entryPool = nil
+	n.freeIDs = append([]int32(nil), q.freeIDs...)
+	for _, e := range q.entryPool {
+		n.freeIDs = append(n.freeIDs, e.id)
 	}
+	n.posOf = append([]int32(nil), q.posOf...)
+	n.heapAt = append([]int32(nil), q.heapAt...)
+	n.readyW = append([]uint64(nil), q.readyW...)
+	n.storeW = append([]uint64(nil), q.storeW...)
+	n.eligW = append([]uint64(nil), q.eligW...)
+	n.members = cloneLists(q.members)
+	n.wireOcc = append([]int32(nil), q.wireOcc...)
+	n.heap = append([]eligEvent(nil), q.heap...)
+	n.fresh = append([]int32(nil), q.fresh...)
 	n.sb = q.sb.Clone(m)
 	n.unresolved = make([]*uop.UOp, len(q.unresolved))
 	for i, u := range q.unresolved {

@@ -114,8 +114,8 @@ func TestRepeatedRecoveryKeepsSegmentsConsistent(t *testing.T) {
 		t.Helper()
 		sum := 0
 		for k := 0; k < cfg.Segments; k++ {
-			for _, e := range q.segs[k] {
-				if e.seg != k {
+			for _, h := range q.segment(k) {
+				if e := q.byID[h]; e.seg != k {
 					t.Fatalf("cycle %d: entry seq=%d thinks it is in segment %d but lives in %d",
 						cycle, e.u.Seq, e.seg, k)
 				}

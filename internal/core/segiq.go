@@ -16,7 +16,6 @@ import (
 // instruction queue. It implements iq.Queue.
 type SegmentedIQ struct {
 	cfg    Config
-	segs   [][]*entry // segs[0] is the bottom segment / issue buffer
 	chains *chainPool
 	wires  *wirePipe
 	table  regTable
@@ -27,19 +26,48 @@ type SegmentedIQ struct {
 	prevFree []int // per-segment free slots at the end of the previous cycle
 	total    int   // occupied slots across all segments
 
-	// Per-segment readiness scoreboard. Segments are kept seq-sorted, so
-	// readyW[k] bit i == "the i-th oldest instruction in segment k is
-	// issue-ready": selecting the oldest ready instruction is a
-	// TrailingZeros64 walk instead of a scan-and-sort. storeW marks store
-	// slots (their ready bit gates on the address operand only; the
-	// occupancy statistics correct for the data operand). Bits move with
-	// their entries on every promotion, pushdown, recovery move, dispatch
-	// and issue, and are set by the scoreboard's event-driven wakeup.
-	readyW [][]uint64
-	storeW [][]uint64
+	// The resident entries share one sequence-ordered slot space: slots
+	// holds their handles (-1 marks the hole an issued entry left behind),
+	// and segW[k] marks the slots of segment k, segLen[k] counting them.
+	// Promotion relabels a slot from one segment's word to the next, so
+	// nothing shifts; and since slots are seq-ordered, the lowest set bit
+	// of segW[k]&eligW is segment k's oldest promotable entry, and of
+	// segW[0]&readyW the oldest issue-ready one. first is the lowest live
+	// slot; slots is trimmed to the highest.
+	slots  []int32
+	first  int
+	segW   [][]uint64
+	segLen []int
+	// readyW marks issue-ready slots, set by the scoreboard's event-driven
+	// wakeup; storeW marks store slots (their ready bit gates on the
+	// address operand only; the occupancy statistics correct for the
+	// data operand); eligW marks promotable slots (events.go).
+	readyW []uint64
+	storeW []uint64
+	eligW  []uint64
 	sb     iq.Scoreboard
-	byID   []*entry // scoreboard handle -> entry
+	byID   []*entry // entry handle -> entry
 	nextID int32
+	// posOf holds, per handle, the entry's slot.
+	posOf []int32
+	// heapAt holds, per handle, the entry's slot in the eligibility heap
+	// plus one (0: no pending eligibility event).
+	heapAt []int32
+
+	// ticks counts the self-timed countdown steps taken so far: one per
+	// BeginCycle, plus one per cycle SkipCycles elides. Running
+	// countdowns are stamped with it instead of being decremented.
+	ticks int64
+	// members lists, per chain wire id, the refs of registered entries
+	// on that wire; heap schedules eligibility changes by tick; fresh
+	// holds the entries whose arrival cycle has not ended.
+	members [][]member
+	heap    []eligEvent
+	fresh   []int32
+	// wireOcc[id*Segments+k] counts the members of wire id resident in
+	// segment k, so delivering a signal to a segment none of its wire's
+	// members occupy costs one load.
+	wireOcc []int32
 	// unresolved holds issued producers whose completion times the
 	// pipeline has not yet stamped; they resolve at the next BeginCycle
 	// (the engine sets Complete right after Issue returns).
@@ -48,15 +76,15 @@ type SegmentedIQ struct {
 	// Scratch buffers reused across cycles so the steady-state cycle loop
 	// (BeginCycle → Issue) does not allocate. The slice Issue returns is
 	// backed by outScratch and remains valid only until the next call.
-	candScratch []*entry
+	candScratch []int32
 	outScratch  []*uop.UOp
-	// moveReady/moveStore carry the candidates' bits between the batch
-	// removal and batch insertion halves of moveSelected.
-	moveReady []bool
-	moveStore []bool
 	// entryPool recycles queue entries between writeback and dispatch, so
-	// steady-state dispatch allocates nothing either.
+	// steady-state dispatch allocates nothing either. A clone inherits
+	// its original's pooled handles as freeIDs, without entry objects;
+	// they are reused after the clone's own pool, in the order the
+	// original would reuse them.
 	entryPool []*entry
+	freeIDs   []int32
 	// active is the number of powered segments (§7 dynamic resizing):
 	// dispatch only targets segments below it; gated segments drain and
 	// stay empty.
@@ -99,7 +127,7 @@ func New(cfg Config) (*SegmentedIQ, error) {
 	}
 	q := &SegmentedIQ{
 		cfg:      cfg,
-		segs:     make([][]*entry, cfg.Segments),
+		segLen:   make([]int, cfg.Segments),
 		chains:   newChainPool(cfg.MaxChains),
 		wires:    newWirePipe(cfg.Segments),
 		table:    newRegTable(cfg.Threads),
@@ -110,11 +138,16 @@ func New(cfg Config) (*SegmentedIQ, error) {
 	for k := range q.prevFree {
 		q.prevFree[k] = cfg.SegSize
 	}
-	q.readyW = make([][]uint64, cfg.Segments)
-	q.storeW = make([][]uint64, cfg.Segments)
-	for k := range q.readyW {
-		q.readyW[k] = bitvec.New(cfg.SegSize)
-		q.storeW[k] = bitvec.New(cfg.SegSize)
+	// Holes accumulate until an append finds the slot space full; twice
+	// the capacity bounds compactions to one per capacity's worth of
+	// dispatches.
+	n := 2*q.Capacity() + 64
+	q.readyW = bitvec.New(n)
+	q.storeW = bitvec.New(n)
+	q.eligW = bitvec.New(n)
+	q.segW = make([][]uint64, cfg.Segments)
+	for k := range q.segW {
+		q.segW[k] = bitvec.New(n)
 	}
 	if cfg.UseHMP {
 		q.hmp = bpred.MustNewHMP()
@@ -150,10 +183,24 @@ func (q *SegmentedIQ) ExtraDispatchStages() int { return 1 }
 // Config returns the queue's configuration.
 func (q *SegmentedIQ) Config() Config { return q.cfg }
 
-// deliverSeg applies a signal to every entry in segment k.
+// deliverSeg applies a signal to the entries of segment k on its wire:
+// the wire's member list, filtered to that segment, each member observing
+// through the one ref it registered; the walk stops once it has met as
+// many members as the segment holds. Callers skip it when occupied reports
+// no member of the wire in segment k.
 func (q *SegmentedIQ) deliverSeg(k int, s signal) {
-	for _, e := range q.segs[k] {
-		e.observe(s)
+	left := q.wireOcc[s.ch.id*q.cfg.Segments+k]
+	for _, m := range q.members[s.ch.id] {
+		if m.seg != int32(k) {
+			continue
+		}
+		e := q.byID[m.h]
+		if cr := &e.refs[m.ri]; cr.observe(s, q.ticks) && !q.stillBlocked(e, cr) {
+			q.reElig(e)
+		}
+		if left--; left == 0 {
+			return
+		}
 	}
 }
 
@@ -162,12 +209,23 @@ func (q *SegmentedIQ) deliverSeg(k int, s signal) {
 // move downward; without this, an instruction moving into a segment in
 // the same cycle a signal sits there would cross it in flight and miss it
 // permanently (e.g. a chain resume, leaving the member suspended forever).
+// The caller re-derives the entry's eligibility once it is placed.
 func (q *SegmentedIQ) catchUp(e *entry, k int) {
 	if q.cfg.InstantWires {
 		return
 	}
-	for _, s := range q.wires.at(k) {
-		e.observe(s)
+	sigs := q.wires.at(k)
+	if len(sigs) == 0 {
+		return
+	}
+	for i := 0; i < e.nrefs; i++ {
+		cr := &e.refs[i]
+		if !cr.ch.real() {
+			continue
+		}
+		for _, s := range sigs {
+			cr.observe(s, q.ticks)
+		}
 	}
 }
 
@@ -184,90 +242,187 @@ func (q *SegmentedIQ) catchUp(e *entry, k int) {
 // below them.
 func (q *SegmentedIQ) assertAt(k int, s signal) {
 	q.stWireAsserts.Inc()
-	q.table.observe(s)
+	q.table.observe(s, q.ticks)
 	if q.cfg.InstantWires {
-		for kk := k; kk < q.cfg.Segments; kk++ {
-			q.deliverSeg(kk, s)
+		for _, m := range q.wireMembers(s.ch.id) {
+			if m.seg < int32(k) {
+				continue
+			}
+			e := q.byID[m.h]
+			if cr := &e.refs[m.ri]; cr.observe(s, q.ticks) && !q.stillBlocked(e, cr) {
+				q.reElig(e)
+			}
 		}
 		return
 	}
 	q.wires.assert(k, s)
-	q.deliverSeg(k, s)
+	if q.occupied(s.ch.id, k) {
+		q.deliverSeg(k, s)
+	}
 }
 
-// newEntry takes an entry from the pool (or allocates one), keeps its
-// stable scoreboard handle across the reset, and registers it in byID.
-func (q *SegmentedIQ) newEntry(u *uop.UOp, seg int, arrived int64) *entry {
+// newEntry takes an entry from the pool (or a free handle, or allocates
+// one), keeps its stable handle across the reset, and enters it in byID.
+// The entry has no slot until insertSlot and no segment (seg -1) until
+// place.
+func (q *SegmentedIQ) newEntry(u *uop.UOp, arrived int64) *entry {
 	var e *entry
 	if n := len(q.entryPool); n > 0 {
 		e = q.entryPool[n-1]
 		q.entryPool[n-1] = nil
 		q.entryPool = q.entryPool[:n-1]
 		id := e.id
-		*e = entry{u: u, seg: seg, arrived: arrived, id: id}
+		*e = entry{u: u, seg: -1, arrived: arrived, id: id}
+	} else if n := len(q.freeIDs); n > 0 {
+		e = &entry{u: u, seg: -1, arrived: arrived, id: q.freeIDs[n-1]}
+		q.freeIDs = q.freeIDs[:n-1]
 	} else {
-		e = &entry{u: u, seg: seg, arrived: arrived, id: q.nextID}
+		e = &entry{u: u, seg: -1, arrived: arrived, id: q.nextID}
 		q.nextID++
 		q.byID = append(q.byID, nil)
+		q.posOf = append(q.posOf, 0)
+		q.heapAt = append(q.heapAt, 0)
 		q.sb.Grow(int(q.nextID))
 	}
 	q.byID[e.id] = e
 	return e
 }
 
-// segRemove takes e out of segment k at its recorded position, shifting
-// the tail and both bitmap words down. It returns e's ready/store bits so
-// a caller moving the entry to another segment can carry them along.
-func (q *SegmentedIQ) segRemove(k int, e *entry) (ready, store bool) {
-	i := int(e.pos)
-	seg := q.segs[k]
-	if i >= len(seg) || seg[i] != e {
-		panic("core: entry not found in its segment")
+// insertSlot gives a new entry its slot in sequence order, with its
+// ready and store bits. A dispatch in sequence order appends. An older
+// instruction (an SMT dispatch retried after a younger context's) goes
+// just above the youngest older live slot: into the hole there if there
+// is one, and otherwise by shifting the younger slots up.
+func (q *SegmentedIQ) insertSlot(e *entry, ready, store bool) {
+	seq := e.u.Seq
+	n := len(q.slots)
+	i := n
+	for i > 0 && (q.slots[i-1] < 0 || q.byID[q.slots[i-1]].u.Seq > seq) {
+		i--
 	}
-	ready = bitvec.Test(q.readyW[k], i)
-	store = bitvec.Test(q.storeW[k], i)
-	bitvec.Remove(q.readyW[k], i)
-	bitvec.Remove(q.storeW[k], i)
-	copy(seg[i:], seg[i+1:])
-	seg[len(seg)-1] = nil
-	seg = seg[:len(seg)-1]
-	q.segs[k] = seg
-	for j := i; j < len(seg); j++ {
-		seg[j].pos = int32(j)
-	}
-	return ready, store
-}
-
-// segInsert places e into segment k at its sequence-ordered position,
-// shifting the tail and bitmap words up and carrying e's ready/store bits
-// with it.
-func (q *SegmentedIQ) segInsert(k int, e *entry, ready, store bool) {
-	seg := q.segs[k]
-	lo, hi := 0, len(seg)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if seg[mid].u.Seq < e.u.Seq {
-			lo = mid + 1
-		} else {
-			hi = mid
+	if i == n || q.slots[i] >= 0 {
+		if n == len(q.readyW)<<6 {
+			q.compact()
+			q.insertSlot(e, ready, store)
+			return
+		}
+		q.slots = append(q.slots, 0)
+		if i < n {
+			copy(q.slots[i+1:], q.slots[i:n])
+			bitvec.Insert(q.readyW, i, false)
+			bitvec.Insert(q.storeW, i, false)
+			bitvec.Insert(q.eligW, i, false)
+			for _, sw := range q.segW {
+				bitvec.Insert(sw, i, false)
+			}
+			for x := i + 1; x <= n; x++ {
+				if h := q.slots[x]; h >= 0 {
+					q.posOf[h] = int32(x)
+				}
+			}
 		}
 	}
-	seg = append(seg, nil)
-	copy(seg[lo+1:], seg[lo:])
-	seg[lo] = e
-	q.segs[k] = seg
-	bitvec.Insert(q.readyW[k], lo, ready)
-	bitvec.Insert(q.storeW[k], lo, store)
-	e.seg = k
-	for j := lo; j < len(seg); j++ {
-		seg[j].pos = int32(j)
+	q.slots[i] = e.id
+	if i < q.first || q.first >= n {
+		q.first = i
 	}
+	q.posOf[e.id] = int32(i)
+	bitvec.Assign(q.readyW, i, ready)
+	bitvec.Assign(q.storeW, i, store)
+}
+
+// removeSlot frees an issued entry's slot, leaving a hole, and trims
+// holes off both ends of the live range.
+func (q *SegmentedIQ) removeSlot(e *entry) {
+	i := int(q.posOf[e.id])
+	q.slots[i] = -1
+	bitvec.Clear(q.readyW, i)
+	bitvec.Clear(q.storeW, i)
+	n := len(q.slots)
+	for n > 0 && q.slots[n-1] < 0 {
+		n--
+	}
+	q.slots = q.slots[:n]
+	for q.first < n && q.slots[q.first] < 0 {
+		q.first++
+	}
+	if q.first > n {
+		q.first = n
+	}
+}
+
+// compact squeezes the holes out of the slot space, keeping the order.
+func (q *SegmentedIQ) compact() {
+	w := 0
+	for r, h := range q.slots {
+		if h < 0 {
+			continue
+		}
+		if w != r {
+			q.slots[w] = h
+			q.posOf[h] = int32(w)
+			for _, b := range [][]uint64{q.readyW, q.storeW, q.eligW} {
+				bitvec.Assign(b, w, bitvec.Test(b, r))
+			}
+		}
+		w++
+	}
+	for r := w; r < len(q.slots); r++ {
+		for _, b := range [][]uint64{q.readyW, q.storeW, q.eligW} {
+			bitvec.Clear(b, r)
+		}
+	}
+	for _, sw := range q.segW {
+		clear(sw)
+	}
+	for j, h := range q.slots[:w] {
+		bitvec.Set(q.segW[q.byID[h].seg], j)
+	}
+	q.slots = q.slots[:w]
+	q.first = 0
+}
+
+// place puts e, which holds a slot, into segment k. Its eligibility bit
+// is clear; the caller re-derives it with reElig once the entry's refs
+// and arrival cycle are set.
+func (q *SegmentedIQ) place(k int, e *entry) {
+	bitvec.Set(q.segW[k], int(q.posOf[e.id]))
+	q.segLen[k]++
+	e.seg = k
+	q.enter(e, k)
+}
+
+// unplace takes e out of segment k, leaving it in transit (seg -1) in its
+// slot, which keeps its ready and store bits.
+func (q *SegmentedIQ) unplace(k int, e *entry) {
+	i := int(q.posOf[e.id])
+	bitvec.Clear(q.segW[k], i)
+	bitvec.Clear(q.eligW, i)
+	q.segLen[k]--
+	q.leave(e, k)
+	e.seg = -1
+}
+
+// words returns the range of slot words holding live slots.
+func (q *SegmentedIQ) words() (lo, hi int) {
+	return q.first >> 6, bitvec.Words(len(q.slots))
+}
+
+// lowest returns the handle in the lowest slot set in both a and b, or
+// -1.
+func (q *SegmentedIQ) lowest(a, b []uint64) int32 {
+	lo, hi := q.words()
+	for wi := lo; wi < hi; wi++ {
+		if w := a[wi] & b[wi]; w != 0 {
+			return q.slots[wi<<6+bits.TrailingZeros64(w)]
+		}
+	}
+	return -1
 }
 
 // setReady flips the ready bit of the entry behind scoreboard handle h.
 func (q *SegmentedIQ) setReady(h int32) {
-	e := q.byID[h]
-	bitvec.Set(q.readyW[e.seg], int(e.pos))
+	bitvec.Set(q.readyW, int(q.posOf[h]))
 }
 
 // wakeConsumers tells the scoreboard that p's completion time resolved
@@ -280,26 +435,34 @@ func (q *SegmentedIQ) wakeConsumers(p *uop.UOp) {
 
 // advance moves the queue's internal clock to cycle: producers issued
 // earlier whose completion the pipeline stamped after Issue returned
-// resolve now, and readiness scheduled for this cycle comes due.
+// resolve now, readiness scheduled for this cycle comes due, and entries
+// whose arrival cycle has ended become candidates for promotion.
 func (q *SegmentedIQ) advance(cycle int64) {
 	q.curCycle = cycle
-	if len(q.unresolved) > 0 {
-		kept := q.unresolved[:0]
-		for _, u := range q.unresolved {
+	// Compact only from the first resolved producer on, so cycles where
+	// nothing resolved write no pointers.
+	for i, u := range q.unresolved {
+		if u.Complete == uop.NotYet {
+			continue
+		}
+		kept := q.unresolved[:i]
+		for _, u := range q.unresolved[i:] {
 			if u.Complete == uop.NotYet {
 				kept = append(kept, u)
 				continue
 			}
 			q.wakeConsumers(u)
 		}
-		for i := len(kept); i < len(q.unresolved); i++ {
-			q.unresolved[i] = nil
+		for j := len(kept); j < len(q.unresolved); j++ {
+			q.unresolved[j] = nil
 		}
 		q.unresolved = kept
+		break
 	}
 	for _, h := range q.sb.Due(cycle) {
 		q.setReady(h)
 	}
+	q.settleArrivals(cycle)
 }
 
 // refresh re-derives e's readiness from its instruction's current
@@ -307,11 +470,13 @@ func (q *SegmentedIQ) advance(cycle int64) {
 func (q *SegmentedIQ) refresh(e *entry) {
 	q.sb.Untrack(e.id)
 	ready := q.sb.Track(e.id, e.u, q.curCycle)
-	bitvec.Assign(q.readyW[e.seg], int(e.pos), ready)
+	bitvec.Assign(q.readyW, int(q.posOf[e.id]), ready)
 }
 
 // BeginCycle implements iq.Queue: wire propagation, self-timed countdown,
-// deadlock recovery, promotion and pushdown.
+// deadlock recovery, promotion and pushdown. The countdown is one tick of
+// the queue's tick counter; the entries whose countdowns cross their
+// segment's promotion threshold at this tick are the heap's due events.
 func (q *SegmentedIQ) BeginCycle(cycle int64) {
 	q.advance(cycle)
 	q.issuedThisCycle = 0
@@ -321,8 +486,8 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 	// Promotion this cycle may use only the slots that were free at the
 	// end of the previous cycle (§3.1: availability cannot be computed and
 	// propagated through the whole queue in one cycle).
-	for k := range q.segs {
-		q.prevFree[k] = q.cfg.SegSize - len(q.segs[k])
+	for k, n := range q.segLen {
+		q.prevFree[k] = q.cfg.SegSize - n
 	}
 
 	// Advance the pipelined chain wires one segment and deliver. (The
@@ -331,18 +496,16 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 		q.wires.shift()
 		for k := 0; k < q.cfg.Segments; k++ {
 			for _, s := range q.wires.at(k) {
-				q.deliverSeg(k, s)
+				if q.occupied(s.ch.id, k) {
+					q.deliverSeg(k, s)
+				}
 			}
 		}
 	}
 
 	// Self-timed countdowns.
-	for k := range q.segs {
-		for _, e := range q.segs[k] {
-			e.tick()
-		}
-	}
-	q.table.tick()
+	q.ticks++
+	q.fireDue()
 
 	if q.recoverPending {
 		q.recoverPending = false
@@ -365,29 +528,29 @@ func (q *SegmentedIQ) BeginCycle(cycle int64) {
 func (q *SegmentedIQ) sampleStats(cycle int64) {
 	q.stOccupancy.Observe(float64(q.total))
 	q.stActiveSegs.Observe(float64(q.active))
-	for k := range q.segs {
-		q.stSegOcc[k].Observe(float64(len(q.segs[k])))
+	for k, n := range q.segLen {
+		q.stSegOcc[k].Observe(float64(n))
 	}
 	// Conventional-wakeup readiness (both operands): popcount of the
 	// ready words, minus ready stores whose data operand is still
 	// outstanding (their ready bit gates on the address alone).
 	ready0, readyAll := 0, 0
-	for k := range q.segs {
-		c := 0
-		for wi, w := range q.readyW[k] {
-			c += bits.OnesCount64(w)
-			sw := w & q.storeW[k][wi]
-			for sw != 0 {
-				b := bits.TrailingZeros64(sw)
-				sw &= sw - 1
-				if !q.segs[k][wi<<6+b].u.OperandReady(0, cycle) {
-					c--
+	lo, hi := q.words()
+	seg0 := q.segW[0]
+	for wi := lo; wi < hi; wi++ {
+		w := q.readyW[wi]
+		readyAll += bits.OnesCount64(w)
+		ready0 += bits.OnesCount64(w & seg0[wi])
+		sw := w & q.storeW[wi]
+		for sw != 0 {
+			b := bits.TrailingZeros64(sw)
+			sw &= sw - 1
+			if !q.byID[q.slots[wi<<6+b]].u.OperandReady(0, cycle) {
+				readyAll--
+				if seg0[wi]>>uint(b)&1 != 0 {
+					ready0--
 				}
 			}
-		}
-		readyAll += c
-		if k == 0 {
-			ready0 = c
 		}
 	}
 	q.stReadySeg0.Observe(float64(ready0))
@@ -409,7 +572,7 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 		q.dispatchedThisCycle != 0 || q.recoverPending {
 		return false
 	}
-	if bitvec.Any(q.readyW[0]) {
+	if q.anyReady(0, cycle) {
 		return false
 	}
 	for _, u := range q.unresolved {
@@ -422,22 +585,22 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 			return false
 		}
 	}
-	for k := range q.segs {
-		for _, e := range q.segs[k] {
-			if e.arrived >= q.curCycle {
+	for _, h := range q.slots[q.first:] {
+		if h < 0 {
+			continue
+		}
+		e := q.byID[h]
+		if e.arrived >= q.curCycle {
+			return false
+		}
+		for i := 0; i < e.nrefs; i++ {
+			if cr := &e.refs[i]; cr.running() && cr.value(q.ticks) > 0 {
 				return false
-			}
-			for i := 0; i < e.nrefs; i++ {
-				cr := &e.refs[i]
-				if cr.selfTimed && !cr.suspended && cr.delay > 0 {
-					return false
-				}
 			}
 		}
 	}
-	for i := range q.table {
-		re := &q.table[i]
-		if re.valid && re.selfTimed && !re.suspended && re.latency > 0 {
+	for i := range q.table.rows {
+		if re := &q.table.rows[i]; re.running() && re.value(q.ticks) > 0 {
 			return false
 		}
 	}
@@ -448,8 +611,12 @@ func (q *SegmentedIQ) Quiescent(cycle int64) bool {
 // would have produced on the elided cycles [from, to). With the queue
 // quiescent the only effects are the wire-pipe shift (a slice-header
 // rotation that must be replayed exactly for state equivalence even though
-// every position is empty) and the sampled statistics.
+// every position is empty), the tick counter and the sampled statistics.
+// Quiescence leaves no running countdown above zero and no eligibility
+// event pending, so advancing the tick counter changes no value; it keeps
+// the counter equal to a stepped run's.
 func (q *SegmentedIQ) SkipCycles(from, to int64) {
+	q.ticks += to - from
 	every := int64(q.cfg.StatsEvery)
 	for x := from; x < to; x++ {
 		if !q.cfg.InstantWires {
@@ -464,7 +631,8 @@ func (q *SegmentedIQ) SkipCycles(from, to int64) {
 // promote moves eligible instructions one segment downward, oldest first,
 // bounded by inter-segment bandwidth (= issue width) and the destination
 // slots free at the end of the previous cycle; then applies pushdown
-// (§4.1) with any remaining bandwidth.
+// (§4.1) with any remaining bandwidth. Candidates come straight off the
+// segment's slot word and the eligibility bits.
 func (q *SegmentedIQ) promote(cycle int64) {
 	for k := 1; k < q.cfg.Segments; k++ {
 		dest := k - 1
@@ -472,21 +640,17 @@ func (q *SegmentedIQ) promote(cycle int64) {
 		if q.prevFree[dest] < budget {
 			budget = q.prevFree[dest]
 		}
-		if free := q.cfg.SegSize - len(q.segs[dest]); free < budget {
+		if free := q.cfg.SegSize - q.segLen[dest]; free < budget {
 			budget = free
 		}
-		if budget <= 0 {
+		if budget <= 0 || q.segLen[k] == 0 {
 			continue
 		}
-		thr := threshold(dest)
-		moved := q.moveSelected(k, dest, budget, cycle, false, func(e *entry) bool {
-			return e.arrived < cycle && e.effDelay() < thr
-		})
-		budget -= moved
+		budget -= q.moveSelected(k, dest, q.pickEligible(k, budget), cycle, false)
 
 		if q.cfg.Pushdown && budget > 0 {
-			freeK := q.cfg.SegSize - len(q.segs[k])
-			freeDest := q.cfg.SegSize - len(q.segs[dest])
+			freeK := q.cfg.SegSize - q.segLen[k]
+			freeDest := q.cfg.SegSize - q.segLen[dest]
 			// §4.1: the upper segment has fewer than IW free entries and
 			// the one below has more than 1.5*IW free entries.
 			if freeK < q.cfg.IssueWidth && 2*freeDest > 3*q.cfg.IssueWidth {
@@ -494,35 +658,53 @@ func (q *SegmentedIQ) promote(cycle int64) {
 				if n > q.cfg.IssueWidth {
 					n = q.cfg.IssueWidth
 				}
-				q.moveSelected(k, dest, n, cycle, true, func(e *entry) bool {
-					return e.arrived < cycle && e.effDelay() >= thr
-				})
+				q.moveSelected(k, dest, q.pickIneligible(k, n, cycle), cycle, true)
 			}
 		}
 	}
 }
 
-// moveSelected moves up to n entries matching pick from segment k to
-// segment dest, oldest (lowest sequence number) first, asserting chain
-// wires for promoted heads. It returns the number moved.
-func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, pick func(*entry) bool) int {
-	// The segment is seq-sorted, so collecting in order with an early
-	// break selects the n oldest matches.
+// pickEligible returns the handles of the n oldest promotable entries of
+// segment k: the lowest set bits of segW[k]&eligW.
+func (q *SegmentedIQ) pickEligible(k, n int) []int32 {
 	cand := q.candScratch[:0]
-	for _, e := range q.segs[k] {
-		if pick(e) {
-			cand = append(cand, e)
-			if len(cand) == n {
-				break
+	sw := q.segW[k]
+	lo, hi := q.words()
+	for wi := lo; wi < hi && len(cand) < n; wi++ {
+		for w := sw[wi] & q.eligW[wi]; w != 0 && len(cand) < n; w &= w - 1 {
+			cand = append(cand, q.slots[wi<<6+bits.TrailingZeros64(w)])
+		}
+	}
+	return cand
+}
+
+// pickIneligible returns the handles of the n oldest pushdown candidates
+// of segment k: entries that arrived before cycle yet are not eligible,
+// i.e. whose delay is at or above the threshold below.
+func (q *SegmentedIQ) pickIneligible(k, n int, cycle int64) []int32 {
+	cand := q.candScratch[:0]
+	sw := q.segW[k]
+	lo, hi := q.words()
+	for wi := lo; wi < hi && len(cand) < n; wi++ {
+		for w := sw[wi] &^ q.eligW[wi]; w != 0 && len(cand) < n; w &= w - 1 {
+			if h := q.slots[wi<<6+bits.TrailingZeros64(w)]; q.byID[h].arrived < cycle {
+				cand = append(cand, h)
 			}
 		}
 	}
-	if len(cand) == 0 {
-		q.candScratch = cand
-		return 0
+	return cand
+}
+
+// moveSelected moves the candidates (handles in slot order) from segment
+// k to segment dest, asserting chain wires for promoted heads. All the
+// candidates leave k before any moves, and are in transit until all are
+// placed in dest. It returns the number moved.
+func (q *SegmentedIQ) moveSelected(k, dest int, cand []int32, cycle int64, pushdown bool) int {
+	for _, h := range cand {
+		q.unplace(k, q.byID[h])
 	}
-	q.removeBatch(k, cand)
-	for idx, e := range cand {
+	for idx, h := range cand {
+		e := q.byID[h]
 		e.arrived = cycle
 		e.pushedDown = pushdown
 		q.catchUp(e, dest)
@@ -530,10 +712,10 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, p
 			s := signal{ch: e.head, typ: sigAdvance}
 			q.assertAt(k, s)
 			// Later candidates were still resident in segment k when this
-			// head's wire fired; the batch removal already took them out
-			// of the segment list, so deliver to them by hand.
-			for _, e2 := range cand[idx+1:] {
-				e2.observe(s)
+			// head's wire fired; they are in transit already, so deliver
+			// to them by hand.
+			for _, h2 := range cand[idx+1:] {
+				q.byID[h2].observe(s, q.ticks)
 			}
 		}
 		q.promotedThisCycle++
@@ -543,112 +725,26 @@ func (q *SegmentedIQ) moveSelected(k, dest, n int, cycle int64, pushdown bool, p
 			q.stPromotions.Inc()
 		}
 	}
-	q.insertBatch(dest, cand)
-	moved := len(cand)
-	for i := range cand {
-		cand[i] = nil
+	for _, h := range cand {
+		e := q.byID[h]
+		q.place(dest, e)
+		q.reElig(e)
 	}
+	moved := len(cand)
 	q.candScratch = cand[:0]
 	return moved
 }
 
-// removeBatch takes the candidates — in ascending position order, as
-// collected — out of segment k with a single compaction pass over the
-// slice and bit words, stashing each candidate's ready/store bits in
-// moveReady/moveStore for insertBatch.
-func (q *SegmentedIQ) removeBatch(k int, cand []*entry) {
-	q.moveReady = q.moveReady[:0]
-	q.moveStore = q.moveStore[:0]
-	seg := q.segs[k]
-	rw, sw := q.readyW[k], q.storeW[k]
-	n := len(cand)
-	p := int(cand[0].pos)
-	if int(cand[n-1].pos) == p+n-1 {
-		// The candidates occupy a contiguous run (the usual promotion
-		// pattern: the n oldest, all eligible): one bulk copy shifts the
-		// tail, one pass fixes positions and bits.
-		for j := 0; j < n; j++ {
-			q.moveReady = append(q.moveReady, bitvec.Test(rw, p+j))
-			q.moveStore = append(q.moveStore, bitvec.Test(sw, p+j))
-		}
-		copy(seg[p:], seg[p+n:])
-		last := len(seg) - n
-		for j := p; j < last; j++ {
-			seg[j].pos = int32(j)
-			bitvec.Assign(rw, j, bitvec.Test(rw, j+n))
-			bitvec.Assign(sw, j, bitvec.Test(sw, j+n))
-		}
-		for j := last; j < len(seg); j++ {
-			seg[j] = nil
-			bitvec.Clear(rw, j)
-			bitvec.Clear(sw, j)
-		}
-		q.segs[k] = seg[:last]
-		return
-	}
-	ci := 0
-	w := p
-	for r := w; r < len(seg); r++ {
-		e := seg[r]
-		if ci < n && e == cand[ci] {
-			q.moveReady = append(q.moveReady, bitvec.Test(rw, r))
-			q.moveStore = append(q.moveStore, bitvec.Test(sw, r))
-			ci++
-			continue
-		}
-		seg[w] = e
-		e.pos = int32(w)
-		bitvec.Assign(rw, w, bitvec.Test(rw, r))
-		bitvec.Assign(sw, w, bitvec.Test(sw, r))
-		w++
-	}
-	for j := w; j < len(seg); j++ {
-		seg[j] = nil
-		bitvec.Clear(rw, j)
-		bitvec.Clear(sw, j)
-	}
-	q.segs[k] = seg[:w]
-}
-
-// insertBatch merges the candidates (seq-sorted, with their bits in
-// moveReady/moveStore) into segment dest with a single backward merge
-// over the slice and bit words. In the common promotion pattern the
-// incoming instructions are all younger than the destination's residents,
-// so the merge degenerates to an append.
-func (q *SegmentedIQ) insertBatch(dest int, cand []*entry) {
-	seg := q.segs[dest]
-	d := len(seg)
-	for range cand {
-		seg = append(seg, nil)
-	}
-	rw, sw := q.readyW[dest], q.storeW[dest]
-	i, w := d-1, len(seg)-1
-	for j := len(cand) - 1; j >= 0; w-- {
-		if i >= 0 && seg[i].u.Seq > cand[j].u.Seq {
-			e := seg[i]
-			seg[w] = e
-			e.pos = int32(w)
-			bitvec.Assign(rw, w, bitvec.Test(rw, i))
-			bitvec.Assign(sw, w, bitvec.Test(sw, i))
-			i--
-			continue
-		}
-		e := cand[j]
-		seg[w] = e
-		e.seg = dest
-		e.pos = int32(w)
-		bitvec.Assign(rw, w, q.moveReady[j])
-		bitvec.Assign(sw, w, q.moveStore[j])
-		j--
-	}
-	q.segs[dest] = seg
-}
-
-// removeFromSegment takes e out of segment k and stops tracking its
-// readiness: the entry is leaving the queue segments for good.
+// removeFromSegment takes e out of segment k for good: its slot is freed,
+// and the scoreboard, the wire member lists and the eligibility schedule
+// stop tracking it.
 func (q *SegmentedIQ) removeFromSegment(k int, e *entry) {
-	q.segRemove(k, e)
+	q.unplace(k, e)
+	q.removeSlot(e)
 	q.sb.Untrack(e.id)
+	q.unregister(e)
+	q.cancel(e)
+	q.dropFresh(e)
 }
 
 // Issue implements iq.Queue: wakeup/select over the bottom segment only,
@@ -663,21 +759,21 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 		q.advance(cycle)
 	}
 	cand := q.candScratch[:0]
-	for wi, w := range q.readyW[0] {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			e := q.segs[0][wi<<6+b]
-			if e.arrived < cycle {
-				cand = append(cand, e)
+	seg0 := q.segW[0]
+	lo, hi := q.words()
+	for wi := lo; wi < hi; wi++ {
+		for w := seg0[wi] & q.readyW[wi]; w != 0; w &= w - 1 {
+			if h := q.slots[wi<<6+bits.TrailingZeros64(w)]; q.byID[h].arrived < cycle {
+				cand = append(cand, h)
 			}
 		}
 	}
 	out := q.outScratch[:0]
-	for _, e := range cand {
+	for _, h := range cand {
 		if len(out) >= max {
 			break
 		}
+		e := q.byID[h]
 		if !tryIssue(e.u) {
 			continue
 		}
@@ -694,9 +790,6 @@ func (q *SegmentedIQ) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) 
 			q.assertAt(0, signal{ch: e.head, typ: sigAdvance})
 		}
 		q.trainLRP(e)
-	}
-	for i := range cand {
-		cand[i] = nil
 	}
 	q.candScratch = cand[:0]
 	q.outScratch = out
@@ -747,14 +840,14 @@ func (q *SegmentedIQ) ActiveSegments() int { return q.active }
 func (q *SegmentedIQ) dispatchTarget() (int, bool) {
 	top := q.active - 1
 	if !q.cfg.Bypass {
-		if len(q.segs[top]) >= q.cfg.SegSize {
+		if q.segLen[top] >= q.cfg.SegSize {
 			return 0, false
 		}
 		return top, true
 	}
 	hi := -1
 	for k := top; k >= 0; k-- {
-		if len(q.segs[k]) > 0 {
+		if q.segLen[k] > 0 {
 			hi = k
 			break
 		}
@@ -762,7 +855,7 @@ func (q *SegmentedIQ) dispatchTarget() (int, bool) {
 	switch {
 	case hi == -1:
 		return 0, true
-	case len(q.segs[hi]) < q.cfg.SegSize:
+	case q.segLen[hi] < q.cfg.SegSize:
 		return hi, true
 	case hi < top:
 		return hi + 1, true
@@ -771,13 +864,14 @@ func (q *SegmentedIQ) dispatchTarget() (int, bool) {
 	}
 }
 
-// refFrom derives a chain membership from a register-table row.
-func refFrom(re regEntry) chainRef {
+// refFrom derives a chain membership from a register-table row at queue
+// tick ticks.
+func refFrom(re regEntry, ticks int64) chainRef {
 	if re.selfTimed {
-		return chainRef{ch: re.ch, delay: re.latency, selfTimed: true, suspended: re.suspended}
+		return chainRef{ch: re.ch, delay: int32(re.value(ticks)), base: ticks, selfTimed: true, suspended: re.suspended}
 	}
 	// §3.3: delay is initialised to 2*S_H + D_H.
-	return chainRef{ch: re.ch, delay: 2*re.headLoc + re.latency, headLoc: re.headLoc}
+	return chainRef{ch: re.ch, delay: int32(2*re.headLoc + re.latency), headLoc: int32(re.headLoc)}
 }
 
 // Dispatch implements iq.Queue: chain assignment via the register
@@ -807,7 +901,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 			continue
 		}
 		re := q.table.row(u.Thread, r)
-		if re.outstanding() {
+		if re.outstanding(q.ticks) {
 			outs = append(outs, srcOut{j: j, re: *re})
 		}
 	}
@@ -846,7 +940,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	}
 
 	// Commit point: no stalls past here.
-	e := q.newEntry(u, target, cycle)
+	e := q.newEntry(u, cycle)
 	e.isHead = needHead
 	e.head = hd
 	if len(outs) == 2 {
@@ -860,7 +954,7 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 	case len(outs) == 0:
 		// Both operands available: delay 0, no chain membership.
 	case len(outs) == 1:
-		e.refs[0] = refFrom(outs[0].re)
+		e.refs[0] = refFrom(outs[0].re, q.ticks)
 		e.nrefs = 1
 	case q.lrp != nil:
 		// §4.3: with the LRP each instruction follows at most one chain —
@@ -871,11 +965,11 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 		if left {
 			pick = outs[0]
 		}
-		e.refs[0] = refFrom(pick.re)
+		e.refs[0] = refFrom(pick.re, q.ticks)
 		e.nrefs = 1
 	case outs[0].re.ch.real() && outs[0].re.ch == outs[1].re.ch:
 		// Both operands on the same chain: one membership, larger delay.
-		a, b := refFrom(outs[0].re), refFrom(outs[1].re)
+		a, b := refFrom(outs[0].re, q.ticks), refFrom(outs[1].re, q.ticks)
 		if b.delay > a.delay {
 			a = b
 		}
@@ -883,8 +977,8 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 		e.nrefs = 1
 	default:
 		// Two memberships (§3.2); the larger delay value controls.
-		e.refs[0] = refFrom(outs[0].re)
-		e.refs[1] = refFrom(outs[1].re)
+		e.refs[0] = refFrom(outs[0].re, q.ticks)
+		e.refs[1] = refFrom(outs[1].re, q.ticks)
 		e.nrefs = 2
 	}
 
@@ -893,37 +987,43 @@ func (q *SegmentedIQ) Dispatch(cycle int64, u *uop.UOp) bool {
 		if isLoad {
 			predLat = q.cfg.PredictedLoadLatency
 		}
-		de := q.table.row(u.Thread, u.Inst.Dest)
+		// The refs were just derived at this tick, so their delay fields
+		// hold their current values.
+		var de regEntry
 		switch {
 		case needHead:
-			*de = regEntry{valid: true, producer: u, ch: hd, latency: predLat, headLoc: target}
+			de = regEntry{valid: true, producer: u, ch: hd, latency: predLat, headLoc: target}
 		case e.nrefs > 0:
 			cr := e.refs[0]
 			if e.nrefs == 2 && e.refs[1].delay > cr.delay {
 				cr = e.refs[1]
 			}
 			if cr.selfTimed {
-				*de = regEntry{valid: true, producer: u, ch: cr.ch,
-					latency: cr.delay + predLat, selfTimed: true, suspended: cr.suspended}
+				de = regEntry{valid: true, producer: u, ch: cr.ch,
+					latency: int(cr.delay) + predLat, base: q.ticks, selfTimed: true, suspended: cr.suspended}
 			} else {
 				// Latency relative to head issue: the controlling
 				// operand's latency-from-head plus this instruction's
 				// own latency.
-				*de = regEntry{valid: true, producer: u, ch: cr.ch,
-					latency: cr.delay - 2*cr.headLoc + predLat, headLoc: cr.headLoc}
+				de = regEntry{valid: true, producer: u, ch: cr.ch,
+					latency: int(cr.delay-2*cr.headLoc) + predLat, headLoc: int(cr.headLoc)}
 			}
 		default:
 			// Fully predictable: expected to issue after draining ~one
 			// segment per cycle from its dispatch segment.
-			*de = regEntry{valid: true, producer: u, ch: chainNone,
-				latency: target + predLat, selfTimed: true}
+			de = regEntry{valid: true, producer: u, ch: chainNone,
+				latency: target + predLat, base: q.ticks, selfTimed: true}
 		}
+		q.table.set(q.table.index(u.Thread, u.Inst.Dest), de)
 	}
 
 	u.DispatchCycle = cycle
 	u.IQ = e
-	q.segInsert(target, e, q.sb.Track(e.id, u, cycle), u.IsStore())
+	q.register(e)
+	q.insertSlot(e, q.sb.Track(e.id, u, cycle), u.IsStore())
+	q.place(target, e)
 	q.catchUp(e, target)
+	q.reElig(e)
 	q.total++
 	q.dispatchedThisCycle++
 	q.stDispatched.Inc()
@@ -1009,11 +1109,12 @@ func (q *SegmentedIQ) recover(cycle int64) {
 	q.stRecoveries.Inc()
 
 	var recycled *entry
-	var recycledReady, recycledStore bool
-	if len(q.segs[0]) >= q.cfg.SegSize && !q.anyReady(0, cycle) {
-		oldest := q.segs[0][0] // seq-sorted: slot 0 is the oldest
-		recycledReady, recycledStore = q.segRemove(0, oldest)
-		recycled = oldest
+	if q.segLen[0] >= q.cfg.SegSize && !q.anyReady(0, cycle) {
+		// Slot order is age order: the lowest slot of segment 0 is its
+		// oldest. In transit it is on no member list, so it hears no
+		// signal until it is placed.
+		recycled = q.byID[q.lowest(q.segW[0], q.segW[0])]
+		q.unplace(0, recycled)
 	}
 
 	// Force one promotion across every segment boundary with room below.
@@ -1022,25 +1123,40 @@ func (q *SegmentedIQ) recover(cycle int64) {
 	// wedges where delay values have gone stale without filling the queue
 	// (the queue is already known to be making no progress).
 	for k := 1; k < q.cfg.Segments; k++ {
-		if len(q.segs[k]) == 0 || len(q.segs[k-1]) >= q.cfg.SegSize {
+		if q.segLen[k] == 0 || q.segLen[k-1] >= q.cfg.SegSize {
 			continue
 		}
+		// Prefer the oldest instruction under the threshold, whatever its
+		// arrival cycle; otherwise force the oldest.
 		thr := threshold(k - 1)
-		// Prefer an eligible instruction; otherwise force the oldest.
-		moved := q.moveSelected(k, k-1, 1, cycle, false, func(e *entry) bool {
-			return e.effDelay() < thr
-		})
-		if moved == 0 {
-			q.moveSelected(k, k-1, 1, cycle, true, func(e *entry) bool { return true })
+		pick, oldest := int32(-1), int32(-1)
+		sw := q.segW[k]
+		lo, hi := q.words()
+		for wi := lo; wi < hi && pick < 0; wi++ {
+			for w := sw[wi]; w != 0; w &= w - 1 {
+				h := q.slots[wi<<6+bits.TrailingZeros64(w)]
+				if oldest < 0 {
+					oldest = h
+				}
+				if q.byID[h].effDelay(q.ticks) < thr {
+					pick = h
+					break
+				}
+			}
+		}
+		if pick >= 0 {
+			q.moveSelected(k, k-1, append(q.candScratch[:0], pick), cycle, false)
+		} else {
+			q.moveSelected(k, k-1, append(q.candScratch[:0], oldest), cycle, true)
 		}
 	}
 
 	if recycled != nil {
 		placed := false
 		for k := q.cfg.Segments - 1; k >= 0; k-- {
-			if len(q.segs[k]) < q.cfg.SegSize {
+			if q.segLen[k] < q.cfg.SegSize {
 				recycled.arrived = cycle
-				q.segInsert(k, recycled, recycledReady, recycledStore)
+				q.place(k, recycled)
 				q.catchUp(recycled, k)
 				placed = true
 				break
@@ -1050,25 +1166,36 @@ func (q *SegmentedIQ) recover(cycle int64) {
 			// Cannot happen: removing the entry freed a slot that the
 			// forced promotions can only have cascaded upward.
 			recycled.arrived = cycle // may not issue in its recycling cycle
-			q.segInsert(0, recycled, recycledReady, recycledStore)
+			q.place(0, recycled)
 		}
+		q.reElig(recycled)
 	}
 }
 
 func (q *SegmentedIQ) anyReady(k int, cycle int64) bool {
-	return bitvec.Any(q.readyW[k])
+	return q.lowest(q.segW[k], q.readyW) >= 0
 }
 
 // SegmentLen returns the occupancy of segment k (tests and occupancy
 // reports).
-func (q *SegmentedIQ) SegmentLen(k int) int { return len(q.segs[k]) }
+func (q *SegmentedIQ) SegmentLen(k int) int { return q.segLen[k] }
+
+// resident returns u's entry if u sits in one of this queue's segments:
+// dispatched here and not yet issued.
+func (q *SegmentedIQ) resident(u *uop.UOp) *entry {
+	e, ok := u.IQ.(*entry)
+	if !ok || e == nil || e.seg < 0 || int(e.id) >= len(q.byID) || q.byID[e.id] != e {
+		return nil
+	}
+	return e
+}
 
 // DelayOf returns the current effective delay value of a dispatched
 // instruction, or -1 if it is not (or no longer) queued here. Diagnostic
 // and walkthrough use.
 func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
-	if e, ok := u.IQ.(*entry); ok && e != nil {
-		return e.effDelay()
+	if e := q.resident(u); e != nil {
+		return e.effDelay(q.ticks)
 	}
 	return -1
 }
@@ -1076,14 +1203,8 @@ func (q *SegmentedIQ) DelayOf(u *uop.UOp) int {
 // SegmentOf returns the segment index holding a dispatched instruction,
 // or -1 if it is not queued here.
 func (q *SegmentedIQ) SegmentOf(u *uop.UOp) int {
-	e, ok := u.IQ.(*entry)
-	if !ok || e == nil {
-		return -1
-	}
-	for _, x := range q.segs[e.seg] {
-		if x == e {
-			return e.seg
-		}
+	if e := q.resident(u); e != nil {
+		return e.seg
 	}
 	return -1
 }

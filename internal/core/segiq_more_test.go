@@ -44,8 +44,7 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 		t.Fatalf("expected same wire, new generation: old %+v new %+v", oldChain, newChain)
 	}
 	member := addRaw(q, 2, 99, 0, 10)
-	member.refs[0] = chainRef{ch: newChain, delay: 8, headLoc: 0, selfTimed: true}
-	member.nrefs = 1
+	q.setRefs(member, chainRef{ch: newChain, delay: 8, headLoc: 0, selfTimed: true})
 
 	// Step cycles so the old-generation signals pass segment 2.
 	for cycle := int64(2); cycle <= 6; cycle++ {
@@ -55,8 +54,8 @@ func TestChainGenerationIgnoresStaleSignals(t *testing.T) {
 		t.Fatal("stale suspend from the previous generation applied to new chain member")
 	}
 	// Five BeginCycles ticked the healthy self-timed countdown.
-	if member.refs[0].delay != 8-5 {
-		t.Fatalf("self-timed countdown disturbed: delay %d", member.refs[0].delay)
+	if d := member.refs[0].value(q.ticks); d != 8-5 {
+		t.Fatalf("self-timed countdown disturbed: delay %d", d)
 	}
 }
 
@@ -155,9 +154,9 @@ func TestSuspendedStateInheritedAtDispatch(t *testing.T) {
 	if !ce.refs[0].selfTimed || !ce.refs[0].suspended {
 		t.Fatalf("consumer should inherit self-timed+suspended: %+v", ce.refs[0])
 	}
-	d := ce.refs[0].delay
+	d := ce.refs[0].value(q.ticks)
 	q.BeginCycle(6)
-	if ce.refs[0].delay != d {
+	if ce.refs[0].value(q.ticks) != d {
 		t.Fatal("suspended consumer counted down")
 	}
 	ld.Complete = 30
@@ -186,8 +185,8 @@ func TestIssueAssertionReachesTableImmediately(t *testing.T) {
 		t.Fatal("table lagged the issue assertion")
 	}
 	// Delay = the load's remaining predicted latency.
-	if ce.refs[0].delay != 4 {
-		t.Fatalf("delay = %d, want predicted load latency 4", ce.refs[0].delay)
+	if d := ce.refs[0].value(q.ticks); d != 4 {
+		t.Fatalf("delay = %d, want predicted load latency 4", d)
 	}
 }
 
@@ -203,8 +202,7 @@ func TestSignalCrossingCaughtUp(t *testing.T) {
 	// Member: eligible to promote (small delay), suspended self-timed
 	// membership in the head's chain, parked at segment 3.
 	m := addRaw(q, 3, 1, 0, -1)
-	m.refs[0] = chainRef{ch: ch, delay: 1, selfTimed: true, suspended: true}
-	m.nrefs = 1
+	q.setRefs(m, chainRef{ch: ch, delay: 1, selfTimed: true, suspended: true})
 
 	// Cycle 1: head issues; a resume is asserted at segment 0.
 	q.BeginCycle(1)
@@ -240,6 +238,16 @@ func TestAccessors(t *testing.T) {
 	if q.SegmentOf(u) != -1 {
 		t.Fatal("issued uop should report -1 segment")
 	}
+	// Issued but not yet written back: the entry is still attached to the
+	// uop, yet it has left the queue.
+	if q.DelayOf(u) != -1 {
+		t.Fatal("issued uop should report -1 delay")
+	}
+	u.Complete = 2
+	q.Writeback(2, u)
+	if q.DelayOf(u) != -1 || q.SegmentOf(u) != -1 {
+		t.Fatal("written-back uop should report -1")
+	}
 }
 
 // TestTwoChainMemberControlledByLaterOperand: §3.2 — a two-chain
@@ -261,7 +269,7 @@ func TestTwoChainMemberControlledByLaterOperand(t *testing.T) {
 	}
 	// Manually decay one membership to zero: the other still controls.
 	je.refs[0].delay = 0
-	if got := je.effDelay(); got != je.refs[1].delay {
+	if got := je.effDelay(q.ticks); got != int(je.refs[1].delay) {
 		t.Fatalf("effective delay %d should follow the later operand %d", got, je.refs[1].delay)
 	}
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/bitvec"
 	"repro/internal/isa"
 	"repro/internal/stats"
 	"repro/internal/uop"
@@ -49,15 +50,47 @@ func always(*uop.UOp) bool { return true }
 // chainless, non-self-timed reference neither decays nor hears signals.
 func addRaw(q *SegmentedIQ, seg int, seq int64, delay int, arrived int64) *entry {
 	u := uop.New(seq, aluInst(isa.RegNone, isa.RegNone, 1))
-	e := q.newEntry(u, seg, arrived)
+	e := q.newEntry(u, arrived)
 	if delay > 0 {
-		e.refs[0] = chainRef{ch: chainNone, delay: delay}
+		e.refs[0] = chainRef{ch: chainNone, delay: int32(delay)}
 		e.nrefs = 1
 	}
 	u.IQ = e
-	q.segInsert(seg, e, q.sb.Track(e.id, u, q.curCycle), u.IsStore())
+	q.insertSlot(e, q.sb.Track(e.id, u, q.curCycle), u.IsStore())
+	q.place(seg, e)
+	q.reElig(e)
 	q.total++
 	return e
+}
+
+// segment returns the handles of segment k's entries, oldest first.
+func (q *SegmentedIQ) segment(k int) []int32 {
+	var hs []int32
+	for i, h := range q.slots {
+		if h >= 0 && bitvec.Test(q.segW[k], i) {
+			hs = append(hs, h)
+		}
+	}
+	return hs
+}
+
+// setRefs replaces e's chain memberships — white-box scaffolding for
+// wire-delivery tests — keeping the wire member lists and e's promotion
+// eligibility current. Self-timed refs start counting at the current tick.
+// New refs may raise e's delay, which no signal can, so e's eligibility
+// bit is cleared before it is re-derived.
+func (q *SegmentedIQ) setRefs(e *entry, refs ...chainRef) {
+	bitvec.Clear(q.eligW, int(q.posOf[e.id]))
+	q.leave(e, e.seg)
+	q.unregister(e)
+	for i, cr := range refs {
+		cr.base = q.ticks
+		e.refs[i] = cr
+	}
+	e.nrefs = len(refs)
+	q.register(e)
+	q.enter(e, e.seg)
+	q.reElig(e)
 }
 
 func smallCfg(segments, segSize, iw int) Config {
@@ -161,7 +194,7 @@ func TestDelayValueInitFormula(t *testing.T) {
 		t.Fatalf("consumer memberships = %d", e.nrefs)
 	}
 	// S_H = 3, D_H = predicted load latency 4: delay = 2*3 + 4 = 10.
-	if got := e.effDelay(); got != 10 {
+	if got := e.effDelay(q.ticks); got != 10 {
 		t.Fatalf("consumer delay = %d, want 10", got)
 	}
 	if e.refs[0].headLoc != 3 {
@@ -170,7 +203,7 @@ func TestDelayValueInitFormula(t *testing.T) {
 	// A second-level consumer adds the producer's own latency.
 	con2 := r.rename(aluInst(6, isa.RegNone, 7))
 	q.Dispatch(0, con2)
-	if got := con2.IQ.(*entry).effDelay(); got != 2*3+4+1 {
+	if got := con2.IQ.(*entry).effDelay(q.ticks); got != 2*3+4+1 {
 		t.Fatalf("transitive delay = %d, want 11", got)
 	}
 }
@@ -206,8 +239,8 @@ func TestPromotionBandwidthAndPrevFree(t *testing.T) {
 		t.Fatalf("promoted %d, want bandwidth limit 3", got)
 	}
 	// Oldest first.
-	for _, e := range q.segs[0] {
-		if e.u.Seq >= 3 {
+	for _, h := range q.segment(0) {
+		if e := q.byID[h]; e.u.Seq >= 3 {
 			t.Fatalf("younger instruction %d promoted before older", e.u.Seq)
 		}
 	}
@@ -258,8 +291,8 @@ func TestIssueOldestReadyFirstAndWidth(t *testing.T) {
 		_ = e
 	}
 	// Make seq 2 unready.
-	for _, e := range q.segs[0] {
-		if e.u.Seq == 2 {
+	for _, h := range q.segment(0) {
+		if e := q.byID[h]; e.u.Seq == 2 {
 			e.u.Prod[0] = blocked
 			q.refresh(e)
 			break
@@ -456,14 +489,9 @@ func TestHMPSuppressesChainsForPredictedHits(t *testing.T) {
 // removeEverywhere is test scaffolding: extracts an entry from whichever
 // segment holds it (simulating issue without the full protocol).
 func (q *SegmentedIQ) removeEverywhere(e *entry) {
-	for k := range q.segs {
-		for _, x := range q.segs[k] {
-			if x == e {
-				q.removeFromSegment(k, e)
-				q.total--
-				return
-			}
-		}
+	if e.seg >= 0 {
+		q.removeFromSegment(e.seg, e)
+		q.total--
 	}
 }
 
@@ -480,11 +508,9 @@ func TestChainWirePipelining(t *testing.T) {
 	head.head = ch
 
 	m1 := addRaw(q, 1, 1, 0, 10) // arrived guard keeps them parked
-	m1.refs[0] = chainRef{ch: ch, delay: 6, headLoc: 0}
-	m1.nrefs = 1
+	q.setRefs(m1, chainRef{ch: ch, delay: 6, headLoc: 0})
 	m3 := addRaw(q, 3, 2, 0, 10)
-	m3.refs[0] = chainRef{ch: ch, delay: 10, headLoc: 0}
-	m3.nrefs = 1
+	q.setRefs(m3, chainRef{ch: ch, delay: 10, headLoc: 0})
 
 	// Cycle 1: head issues, asserting at segment 0.
 	q.BeginCycle(1)
@@ -524,8 +550,7 @@ func TestInstantWiresAblation(t *testing.T) {
 	head.isHead = true
 	head.head = ch
 	m3 := addRaw(q, 3, 1, 0, 10)
-	m3.refs[0] = chainRef{ch: ch, delay: 10, headLoc: 0}
-	m3.nrefs = 1
+	q.setRefs(m3, chainRef{ch: ch, delay: 10, headLoc: 0})
 
 	q.BeginCycle(1)
 	q.Issue(1, 8, always)
@@ -553,7 +578,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 	if !ce.refs[0].selfTimed {
 		t.Fatal("consumer did not enter self-timed mode on head issue")
 	}
-	d0 := ce.refs[0].delay
+	d0 := ce.refs[0].value(q.ticks)
 
 	// The load misses: suspend.
 	q.NotifyLoadMiss(4, ld)
@@ -562,7 +587,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 	}
 	q.BeginCycle(5)
 	q.BeginCycle(6)
-	if ce.refs[0].delay != d0 {
+	if ce.refs[0].value(q.ticks) != d0 {
 		t.Fatal("suspended member kept counting")
 	}
 	// Data returns: resume; countdown continues.
@@ -573,7 +598,7 @@ func TestSuspendResumeOnLoadMiss(t *testing.T) {
 		t.Fatal("resume signal not delivered")
 	}
 	q.BeginCycle(51)
-	if ce.refs[0].delay != d0-1 {
+	if ce.refs[0].value(q.ticks) != d0-1 {
 		t.Fatal("countdown did not resume")
 	}
 }
@@ -589,7 +614,8 @@ func TestPushdown(t *testing.T) {
 	if q.SegmentLen(0) != 2 {
 		t.Fatalf("pushdown moved %d, want IW=2", q.SegmentLen(0))
 	}
-	for _, e := range q.segs[0] {
+	for _, h := range q.segment(0) {
+		e := q.byID[h]
 		if !e.pushedDown {
 			t.Fatal("entries should be marked as pushed down")
 		}
@@ -622,11 +648,9 @@ func TestPushdownRequiresEmptyDestination(t *testing.T) {
 		addRaw(q, 1, i, 99, -1)
 	}
 	// Destination has only 3 free (need > 3): block pushdown.
-	blocker := uop.New(50, aluInst(isa.RegNone, isa.RegNone, 1))
-	blocker.Prod[0] = uop.New(99, aluInst(isa.RegNone, isa.RegNone, 2))
-	e := &entry{u: blocker, seg: 0, arrived: -1}
-	q.segs[0] = append(q.segs[0], e)
-	q.total++
+	blocker := addRaw(q, 0, 50, 0, -1)
+	blocker.u.Prod[0] = uop.New(99, aluInst(isa.RegNone, isa.RegNone, 2))
+	q.refresh(blocker)
 	q.BeginCycle(1)
 	if q.SegmentLen(0) != 1 {
 		t.Fatal("pushdown ran without >1.5*IW free entries below")
@@ -735,7 +759,7 @@ func TestWritebackClearsRegTable(t *testing.T) {
 	r := newTestRenamer()
 	ld := r.rename(loadInst(isa.RegNone, 1))
 	q.Dispatch(0, ld)
-	if !q.table[1].valid {
+	if !q.table.rows[1].valid {
 		t.Fatal("table row not created")
 	}
 	// A younger writer replaces the row; the old producer's writeback
@@ -743,11 +767,11 @@ func TestWritebackClearsRegTable(t *testing.T) {
 	ld2 := r.rename(loadInst(isa.RegNone, 1))
 	q.Dispatch(0, ld2)
 	q.Writeback(5, ld)
-	if !q.table[1].valid || q.table[1].producer != ld2 {
+	if !q.table.rows[1].valid || q.table.rows[1].producer != ld2 {
 		t.Fatal("younger producer's row clobbered by older writeback")
 	}
 	q.Writeback(6, ld2)
-	if q.table[1].valid {
+	if q.table.rows[1].valid {
 		t.Fatal("row not cleared at producer writeback")
 	}
 }
