@@ -40,6 +40,23 @@ func Count(w []uint64) int {
 	return n
 }
 
+// CountRange returns the number of set bits at positions [lo, hi).
+func CountRange(w []uint64, lo, hi int) int {
+	if lo >= hi {
+		return 0
+	}
+	k, last := lo>>6, (hi-1)>>6
+	first := w[k] &^ (1<<(uint(lo)&63) - 1)
+	if k == last {
+		return bits.OnesCount64(first & (^uint64(0) >> (63 - uint(hi-1)&63)))
+	}
+	n := bits.OnesCount64(first)
+	for k++; k < last; k++ {
+		n += bits.OnesCount64(w[k])
+	}
+	return n + bits.OnesCount64(w[last]&(^uint64(0)>>(63-uint(hi-1)&63)))
+}
+
 // Any reports whether any bit is set.
 func Any(w []uint64) bool {
 	for _, x := range w {

@@ -76,6 +76,17 @@ func TestAgainstModel(t *testing.T) {
 				t.Fatalf("step %d: NextSet(%d) = %d, want %d", step, i, got, want)
 			}
 		}
+		lo := r.intn(len(m) + 1)
+		hi := lo + r.intn(len(m)-lo+1)
+		want := 0
+		for i := lo; i < hi; i++ {
+			if m[i] {
+				want++
+			}
+		}
+		if got := CountRange(w, lo, hi); got != want {
+			t.Fatalf("step %d: CountRange(%d, %d) = %d, want %d", step, lo, hi, got, want)
+		}
 	}
 
 	for step := 0; step < 4000; step++ {

@@ -129,12 +129,13 @@ type Queue interface {
 // IQ; at 32 entries it is the conventional baseline the segmented design
 // is compared against.
 //
-// Instructions live in a packed array kept sorted by sequence number, so
-// position doubles as age order; a position-indexed ready bitmap is
-// maintained event-driven by a Scoreboard. Wakeup then costs nothing for
-// entries whose operands did not change, and select takes set bits in
-// position order — the first set bit is the oldest ready instruction, no
-// sorting needed. The selection each cycle is identical to the full
+// Resident instructions live in a sequence-ordered slot space, so slot
+// order doubles as age order; a slot-indexed ready bitmap is maintained
+// event-driven by a Scoreboard. Wakeup then costs nothing for entries
+// whose operands did not change, and select takes set bits in slot order
+// — the first set bit is the oldest ready instruction, no sorting needed.
+// Issue leaves a hole instead of shifting the younger slots down, so it
+// only clears bits. The selection each cycle is identical to the full
 // rescan the modelled hardware performs.
 type Conventional struct {
 	name       string
@@ -142,27 +143,33 @@ type Conventional struct {
 	statsEvery int64 // sample per-cycle stats every n cycles (<=1: every)
 	now        int64 // last BeginCycle; clocks wakeup deliveries
 
-	// slots is packed and seq-sorted; ids maps a position to the
-	// instruction's stable scoreboard handle, posOf is the inverse (valid
-	// while resident), and freeH recycles handles of departed entries.
-	slots []*uop.UOp
-	ids   []int32
+	// slots holds the resident instructions' handles in sequence order,
+	// -1 marking the hole an issued instruction left; first is the lowest
+	// live slot and slots is trimmed to the highest. byH maps a handle to
+	// its instruction, posOf to its slot (both valid while resident), and
+	// freeH recycles the handles of departed instructions. live counts
+	// the resident instructions.
+	slots []int32
+	first int
+	live  int
+	byH   []*uop.UOp
 	posOf []int32
 	freeH []int32
 
-	readyW []uint64 // position-indexed: issue-ready
-	storeW []uint64 // position-indexed: stores (Ready-stat correction)
+	readyW []uint64 // slot-indexed: issue-ready
+	storeW []uint64 // slot-indexed: stores (Ready-stat correction)
 	sb     Scoreboard
 
-	// unresolved holds issued producers whose completion time was still
-	// unknown when they left the queue: the execution core stamps
-	// u.Complete right after Issue returns, so the next BeginCycle wakes
-	// their consumers with the exact completion cycle. (The Writeback
-	// call delivers the same information; whichever arrives first wins.)
+	// unresolved holds issued non-load producers whose completion time
+	// was still unknown when they left the queue: the execution core
+	// stamps u.Complete right after Issue returns, so the next BeginCycle
+	// wakes their consumers with the exact completion cycle. (The
+	// Writeback call delivers the same information; whichever arrives
+	// first wins.) Loads are not held: their completion always arrives
+	// through NotifyLoadComplete, which wakes the consumers itself.
 	unresolved []*uop.UOp
 
 	outScratch []*uop.UOp // backs Issue's result; reused every cycle
-	rmScratch  []int32    // removed positions, ascending; reused every cycle
 
 	issued     stats.Counter
 	dispatched stats.Counter
@@ -190,7 +197,7 @@ func (q *Conventional) Name() string { return q.name }
 func (q *Conventional) Capacity() int { return q.capacity }
 
 // Len implements Queue.
-func (q *Conventional) Len() int { return len(q.slots) }
+func (q *Conventional) Len() int { return q.live }
 
 // ExtraDispatchStages implements Queue: a conventional IQ costs nothing
 // extra.
@@ -219,9 +226,9 @@ func (q *Conventional) resolve(cycle int64) {
 	q.unresolved = kept
 }
 
-// BeginCycle implements Queue: deliver scheduled wakeups, then sample the
-// occupancy/readiness statistics the modelled hardware would observe.
-func (q *Conventional) BeginCycle(cycle int64) {
+// deliver resolves stamped producers and marks the consumers whose
+// scheduled readiness falls due at cycle.
+func (q *Conventional) deliver(cycle int64) {
 	q.now = cycle
 	if len(q.unresolved) > 0 {
 		q.resolve(cycle)
@@ -229,26 +236,39 @@ func (q *Conventional) BeginCycle(cycle int64) {
 	for _, h := range q.sb.Due(cycle) {
 		bitvec.Set(q.readyW, int(q.posOf[h]))
 	}
+}
+
+// BeginCycle implements Queue: deliver scheduled wakeups, then sample the
+// occupancy/readiness statistics the modelled hardware would observe.
+func (q *Conventional) BeginCycle(cycle int64) {
+	q.deliver(cycle)
 	if q.statsEvery > 1 && cycle%q.statsEvery != 0 {
 		return
 	}
 	q.sampleStats(cycle)
 }
 
+// words returns the range of slot words holding live slots.
+func (q *Conventional) words() (lo, hi int) {
+	return q.first >> 6, bitvec.Words(len(q.slots))
+}
+
 // sampleStats records the per-cycle occupancy/readiness observations, the
 // modelled hardware's view at the given cycle.
 func (q *Conventional) sampleStats(cycle int64) {
-	q.occupancy.Observe(float64(len(q.slots)))
-	ready := bitvec.Count(q.readyW)
+	q.occupancy.Observe(float64(q.live))
 	// The ready bitmap tracks issue readiness, under which a store waits
 	// only for its address; the conventional-wakeup statistic counts full
 	// operand readiness, so discount ready stores with pending data.
-	for k := range q.readyW {
+	ready := 0
+	lo, hi := q.words()
+	for k := lo; k < hi; k++ {
+		ready += bits.OnesCount64(q.readyW[k])
 		w := q.readyW[k] & q.storeW[k]
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &= w - 1
-			if !q.slots[k<<6+b].OperandReady(0, cycle) {
+			if !q.byH[q.slots[k<<6+b]].OperandReady(0, cycle) {
 				ready--
 			}
 		}
@@ -257,12 +277,14 @@ func (q *Conventional) sampleStats(cycle int64) {
 }
 
 // Quiescent implements Queue: nothing resident is issue-ready and no
-// resolved producer is pending delivery. Waiters parked on unresolved
-// producers and wheel entries for future completions are both fine — the
-// completions they wait for arrive via memory/writeback events, which the
-// engine bounds the skip window by.
+// stamped producer is pending delivery. Waiters parked on unresolved
+// producers (a load's data, a producer the core has yet to stamp) and
+// wheel entries for future completions are both fine — the completions
+// they wait for arrive via memory/writeback events, which the engine
+// bounds the skip window by.
 func (q *Conventional) Quiescent(cycle int64) bool {
-	for _, w := range q.readyW {
+	lo, hi := q.words()
+	for _, w := range q.readyW[lo:hi] {
 		if w != 0 {
 			return false
 		}
@@ -297,30 +319,24 @@ func (q *Conventional) SkipCycles(from, to int64) {
 func (q *Conventional) Issue(cycle int64, max int, tryIssue func(*uop.UOp) bool) []*uop.UOp {
 	if cycle != q.now {
 		// Unit-test drivers may skip BeginCycle; deliver wakeups here.
-		q.now = cycle
-		if len(q.unresolved) > 0 {
-			q.resolve(cycle)
-		}
-		for _, h := range q.sb.Due(cycle) {
-			bitvec.Set(q.readyW, int(q.posOf[h]))
-		}
+		q.deliver(cycle)
 	}
 	out := q.outScratch[:0]
-	removed := q.rmScratch[:0]
-	// Positions are age order, so taking set bits low-to-high visits the
-	// ready instructions oldest first.
+	// Slots are age order, so taking set bits low-to-high visits the
+	// ready instructions oldest first. Issuing only clears bits of the
+	// word being scanned, so the scan continues on its saved copy.
+	lo, hi := q.words()
 scan:
-	for k, w := range q.readyW {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			pos := k<<6 + b
-			u := q.slots[pos]
+	for k := lo; k < hi; k++ {
+		for w := q.readyW[k]; w != 0; w &= w - 1 {
+			i := k<<6 + bits.TrailingZeros64(w)
+			h := q.slots[i]
+			u := q.byH[h]
 			if u.DispatchCycle < cycle && tryIssue(u) {
 				u.IssueCycle = cycle
 				out = append(out, u)
-				removed = append(removed, int32(pos))
-				if u.Inst.HasDest() {
+				q.release(i, h)
+				if u.Inst.HasDest() && !u.IsLoad() {
 					q.unresolved = append(q.unresolved, u)
 				}
 				if len(out) >= max {
@@ -329,69 +345,64 @@ scan:
 			}
 		}
 	}
-	if len(removed) > 0 {
-		q.removeBatch(removed)
-	}
+	q.trim()
 	q.outScratch = out
-	q.rmScratch = removed
 	q.issued.Add(uint64(len(out)))
 	return out
 }
 
-// removeBatch frees the instructions at the given ascending positions,
-// recompacting the seq-sorted array and both bitmaps.
-func (q *Conventional) removeBatch(removed []int32) {
-	n, m := len(q.slots), len(removed)
-	for _, p := range removed {
-		h := q.ids[p]
-		q.sb.Untrack(h)
-		q.freeH = append(q.freeH, h)
+// release frees slot i, held by handle h, leaving a hole.
+func (q *Conventional) release(i int, h int32) {
+	bitvec.Clear(q.readyW, i)
+	bitvec.Clear(q.storeW, i)
+	q.slots[i] = -1
+	q.byH[h] = nil
+	q.sb.Untrack(h)
+	q.freeH = append(q.freeH, h)
+	q.live--
+}
+
+// trim drops holes off both ends of the live slot range.
+func (q *Conventional) trim() {
+	n := len(q.slots)
+	for n > 0 && q.slots[n-1] < 0 {
+		n--
 	}
-	if int(removed[m-1]) == m-1 {
-		// The removed set is the contiguous front of the queue — the
-		// common case, since the oldest ready instructions issue together.
-		copy(q.slots, q.slots[m:])
-		copy(q.ids, q.ids[m:])
-		for p := 0; p < n-m; p++ {
-			q.posOf[q.ids[p]] = int32(p)
-		}
-		for i := 0; i < m; i++ {
-			bitvec.Remove(q.readyW, 0)
-			bitvec.Remove(q.storeW, 0)
-		}
-		for i := n - m; i < n; i++ {
-			q.slots[i] = nil
-		}
-		q.slots = q.slots[:n-m]
-		q.ids = q.ids[:n-m]
-		return
+	q.slots = q.slots[:n]
+	for q.first < n && q.slots[q.first] < 0 {
+		q.first++
 	}
-	w, ri := int(removed[0]), 0
-	for r := w; r < n; r++ {
-		if ri < m && removed[ri] == int32(r) {
-			ri++
+	if q.first > n {
+		q.first = n
+	}
+}
+
+// compact squeezes the holes out of the slot space, keeping the order.
+func (q *Conventional) compact() {
+	w := 0
+	for r, h := range q.slots {
+		if h < 0 {
 			continue
 		}
-		h := q.ids[r]
-		q.slots[w] = q.slots[r]
-		q.ids[w] = h
-		q.posOf[h] = int32(w)
-		bitvec.Assign(q.readyW, w, bitvec.Test(q.readyW, r))
-		bitvec.Assign(q.storeW, w, bitvec.Test(q.storeW, r))
+		if w != r {
+			q.slots[w] = h
+			q.posOf[h] = int32(w)
+			bitvec.Assign(q.readyW, w, bitvec.Test(q.readyW, r))
+			bitvec.Assign(q.storeW, w, bitvec.Test(q.storeW, r))
+		}
 		w++
 	}
-	for i := w; i < n; i++ {
-		q.slots[i] = nil
-		bitvec.Clear(q.readyW, i)
-		bitvec.Clear(q.storeW, i)
+	for r := w; r < len(q.slots); r++ {
+		bitvec.Clear(q.readyW, r)
+		bitvec.Clear(q.storeW, r)
 	}
 	q.slots = q.slots[:w]
-	q.ids = q.ids[:w]
+	q.first = 0
 }
 
 // Dispatch implements Queue.
 func (q *Conventional) Dispatch(cycle int64, u *uop.UOp) bool {
-	if len(q.slots) >= q.capacity {
+	if q.live >= q.capacity {
 		q.fullStalls.Inc()
 		return false
 	}
@@ -402,43 +413,61 @@ func (q *Conventional) Dispatch(cycle int64, u *uop.UOp) bool {
 	} else {
 		h = int32(len(q.posOf))
 		q.posOf = append(q.posOf, 0)
+		q.byH = append(q.byH, nil)
 		q.sb.Grow(len(q.posOf))
 	}
-	// Dispatch is in program order, so the insert position is almost
-	// always the tail; the binary search covers replay-style drivers that
-	// re-dispatch older sequence numbers.
-	pos := len(q.slots)
-	if pos > 0 && q.slots[pos-1].Seq > u.Seq {
-		lo, hi := 0, pos
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if q.slots[mid].Seq < u.Seq {
-				lo = mid + 1
-			} else {
-				hi = mid
+	u.DispatchCycle = cycle
+	q.byH[h] = u
+	i := q.insertSlot(h, u.Seq)
+	bitvec.Assign(q.storeW, i, u.IsStore())
+	bitvec.Assign(q.readyW, i, q.sb.Track(h, u, cycle))
+	q.live++
+	q.dispatched.Inc()
+	q.dem.Observe(cycle, int64(q.live))
+	return true
+}
+
+// insertSlot gives handle h, holding sequence number seq, its slot in
+// sequence order and returns it, with both of its bits clear. Dispatch in
+// program order appends; an older instruction (a replay-style driver, or
+// an SMT dispatch retried after a younger context's) goes just above the
+// youngest older live slot: into the hole there if there is one, and
+// otherwise by shifting the younger slots up. Holes are compacted away
+// when an append finds the space at twice the occupancy — a trigger that
+// depends only on the instruction stream, never on the capacity, so a
+// CloneBounded copy lays its slots out as a cold run would.
+func (q *Conventional) insertSlot(h int32, seq int64) int {
+	if len(q.slots) >= 2*q.live+64 {
+		q.compact()
+	}
+	n := len(q.slots)
+	i := n
+	for i > 0 && (q.slots[i-1] < 0 || q.byH[q.slots[i-1]].Seq > seq) {
+		i--
+	}
+	if i == n || q.slots[i] >= 0 {
+		q.slots = append(q.slots, 0)
+		for len(q.readyW) < bitvec.Words(len(q.slots)) {
+			q.readyW = append(q.readyW, 0)
+			q.storeW = append(q.storeW, 0)
+		}
+		if i < n {
+			copy(q.slots[i+1:], q.slots[i:n])
+			bitvec.Insert(q.readyW, i, false)
+			bitvec.Insert(q.storeW, i, false)
+			for x := i + 1; x <= n; x++ {
+				if g := q.slots[x]; g >= 0 {
+					q.posOf[g] = int32(x)
+				}
 			}
 		}
-		pos = lo
 	}
-	u.DispatchCycle = cycle
-	q.slots = append(q.slots, nil)
-	copy(q.slots[pos+1:], q.slots[pos:])
-	q.slots[pos] = u
-	q.ids = append(q.ids, 0)
-	copy(q.ids[pos+1:], q.ids[pos:])
-	q.ids[pos] = h
-	for p := pos; p < len(q.ids); p++ {
-		q.posOf[q.ids[p]] = int32(p)
+	q.slots[i] = h
+	q.posOf[h] = int32(i)
+	if i < q.first || q.first >= n {
+		q.first = i
 	}
-	for len(q.readyW) < bitvec.Words(len(q.slots)) {
-		q.readyW = append(q.readyW, 0)
-		q.storeW = append(q.storeW, 0)
-	}
-	bitvec.Insert(q.storeW, pos, u.IsStore())
-	bitvec.Insert(q.readyW, pos, q.sb.Track(h, u, cycle))
-	q.dispatched.Inc()
-	q.dem.Observe(cycle, int64(len(q.slots)))
-	return true
+	return i
 }
 
 // NotifyLoadMiss implements Queue (no-op: readiness is delivered when the
@@ -467,12 +496,11 @@ func (q *Conventional) Clone(m *uop.CloneMap) Queue {
 	n := new(Conventional)
 	*n = *q
 	n.outScratch = nil
-	n.rmScratch = nil
-	n.slots = make([]*uop.UOp, len(q.slots))
-	for i, u := range q.slots {
-		n.slots[i] = m.Get(u)
+	n.slots = append([]int32(nil), q.slots...)
+	n.byH = make([]*uop.UOp, len(q.byH))
+	for h, u := range q.byH {
+		n.byH[h] = m.Get(u)
 	}
-	n.ids = append([]int32(nil), q.ids...)
 	n.posOf = append([]int32(nil), q.posOf...)
 	n.freeH = append([]int32(nil), q.freeH...)
 	n.readyW = append([]uint64(nil), q.readyW...)

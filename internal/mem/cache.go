@@ -159,12 +159,10 @@ type Cache struct {
 	lines     []cacheLine
 	stamp     uint64
 
-	// gen counts MSHR allocations and releases — the only events that can
-	// change whether the cache would accept a previously rejected access.
-	// The LSQ memoises rejections against it (uop.RejGen) so a load stuck
-	// behind a full MSHR file repeats its rejection without re-walking the
-	// tag array and MSHR file every cycle.
-	gen uint64
+	// watchers hear about every MSHR allocation and every fill, which
+	// releases one (see LineWatcher). Clones start with none: each watcher
+	// registers on its own machine's cache.
+	watchers []LineWatcher
 
 	// mshrTab is the MSHR file itself: a flat slot array sized to
 	// cfg.MSHRs, matching the small fully-associative structure in real
@@ -196,6 +194,28 @@ type Cache struct {
 	stats CacheStats
 	// mshrOccupancy integrates MSHR usage for average-occupancy reporting.
 	mshrPeak int
+}
+
+// LineWatcher is told, line by line, about the transitions that can
+// change the outcome of an access the cache has rejected for want of an
+// MSHR: an MSHR allocated for the line (an access to it now merges as a
+// delayed hit) and a fill releasing one (the line is now present, and an
+// MSHR is free). A rejected access can flip for no other reason — apart
+// from a release freeing a slot for any line, which the caller sees in
+// OutstandingMisses. The LSQ parks rejected accesses on per-line wait
+// lists and wakes them from here, instead of retrying every cycle.
+type LineWatcher interface {
+	LineChanged(lineAddr uint64)
+}
+
+// Watch registers w for the cache's MSHR transitions.
+func (c *Cache) Watch(w LineWatcher) { c.watchers = append(c.watchers, w) }
+
+// notify tells every watcher about an MSHR transition for lineAddr.
+func (c *Cache) notify(lineAddr uint64) {
+	for _, w := range c.watchers {
+		w.LineChanged(lineAddr)
+	}
 }
 
 type pendingFetch struct {
@@ -268,10 +288,10 @@ func (c *Cache) allocMSHR(lineAddr uint64) *mshr {
 		}
 	}
 	c.mshrCount++
-	c.gen++
 	if c.mshrCount > c.mshrPeak {
 		c.mshrPeak = c.mshrCount
 	}
+	c.notify(lineAddr)
 	return m
 }
 
@@ -284,7 +304,6 @@ func (c *Cache) releaseMSHR(lineAddr uint64) *mshr {
 			c.mshrTab[i] = nil
 			c.mshrLine[i] = noLine
 			c.mshrCount--
-			c.gen++
 			return m
 		}
 	}
@@ -511,6 +530,7 @@ func (c *Cache) fill(now int64, lineAddr uint64) {
 	}
 	c.stamp++
 	set[victim] = cacheLine{valid: true, dirty: dirty, tag: tag, lru: c.stamp}
+	c.notify(lineAddr)
 
 	// One event delivers every merged demand target (same relative order as
 	// one event per target: nothing else is scheduled in between) and then
@@ -582,18 +602,12 @@ func (c *Cache) reserveLink(ready int64) int64 {
 func (c *Cache) OutstandingMisses() int { return c.mshrCount }
 
 // SkipMSHRRejects records n MSHR-full rejections without performing the
-// accesses. The cycle-skipping engine uses it to replay the rejections a
-// blocked load would have accumulated on elided idle cycles; the real
-// reject path (AccessArg finding every MSHR busy) touches only this
-// counter, so the replay is exact.
+// accesses. The LSQ uses it to count, in bulk, the retries of accesses
+// parked on a full MSHR file — each tick's and, through the cycle-skipping
+// engine, each elided idle cycle's; the real reject path (AccessRefKind
+// finding every MSHR busy) touches only this counter, so the count is
+// exact.
 func (c *Cache) SkipMSHRRejects(n uint64) { c.stats.MSHRRejects += n }
-
-// AcceptGen identifies the MSHR file's acceptance state: it advances
-// exactly when an MSHR is allocated or released (the only transitions —
-// fills included, which release — that can change the outcome of an
-// access the cache has rejected). While it is unchanged, a rejected
-// access would be rejected again.
-func (c *Cache) AcceptGen() uint64 { return c.gen }
 
 // pendingFetchLen returns the number of queued upper-level fetches.
 func (c *Cache) pendingFetchLen() int { return len(c.pendingFetches) - c.pfHead }

@@ -159,9 +159,6 @@ func (c *Cache) cloneActive(eq *EventQueue, lower Supplier, rm *Remap) (*Cache, 
 	n.linkFree = c.linkFree
 	n.stats = c.stats
 	n.mshrPeak = c.mshrPeak
-	// The generation counter must survive: in-flight LSQ rejection memos
-	// are validated against it.
-	n.gen = c.gen
 	n.mshrCount = c.mshrCount
 	for i, m := range c.mshrTab {
 		if m == nil {

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"repro/internal/bitvec"
 	"repro/internal/bpred"
 	"repro/internal/iq"
 	"repro/internal/mem"
@@ -21,7 +22,8 @@ import (
 func (f *FrontEnd) Clone(stream trace.Stream, bp *bpred.Predictor, btb *bpred.BTB, icache *mem.Cache, m *uop.CloneMap) *FrontEnd {
 	n := NewFrontEnd(f.cfg, stream, bp, btb, icache)
 	if len(f.buf) > 0 {
-		n.buf = make([]fetched, len(f.buf))
+		n.bufArr = make([]fetched, 2*f.cfg.BufferCap)
+		n.buf = n.bufArr[:len(f.buf)]
 		for i, fe := range f.buf {
 			n.buf[i] = fetched{u: m.Get(fe.u), readyAt: fe.readyAt}
 		}
@@ -57,19 +59,40 @@ func (l *LSQ) Clone(l1d *mem.Cache, eq *mem.EventQueue, q iq.Queue, m *uop.Clone
 // CloneCap clones the load/store queue into a different capacity — the
 // prefix-sharing refit path, where a sibling sweep point runs the same
 // prefix under a tighter bound. The occupancy must fit; ok is false
-// otherwise and the caller falls back to a cold fork.
+// otherwise and the caller falls back to a cold fork. Each resident keeps
+// its absolute position, so the copy lays its ring out exactly as a cold
+// run at that capacity would. The wait lists are rebuilt from the
+// bitmaps: the parked loads' in age order, the order they are always
+// kept in, and the data-waiting stores'.
 func (l *LSQ) CloneCap(l1d *mem.Cache, eq *mem.EventQueue, q iq.Queue, m *uop.CloneMap, capacity int) (*LSQ, bool) {
-	if len(l.entries) > capacity {
+	if l.n > capacity {
 		return nil, false
 	}
 	n := NewLSQ(capacity, l1d, eq, q, l.rdPorts, l.wrPorts)
-	if len(l.entries) > 0 {
-		n.entries = make([]*uop.UOp, len(l.entries))
-		for i, u := range l.entries {
-			n.entries[i] = m.Get(u)
+	n.head, n.n, n.unkPos = l.head, l.n, l.unkPos
+	for i := 0; i < l.n; i++ {
+		s, t := l.slot(i), n.slot(i)
+		n.ring[t].u = m.Get(l.ring[s].u)
+		n.ring[t].line = l.ring[s].line
+		for _, w := range [][2][]uint64{
+			{l.pendW, n.pendW}, {l.freshW, n.freshW}, {l.parkedW, n.parkedW},
+			{l.unkW, n.unkW}, {l.kstW, n.kstW}, {l.dataW, n.dataW}, {l.stampW, n.stampW},
+		} {
+			bitvec.Assign(w[1], t, bitvec.Test(w[0], s))
+		}
+		if bitvec.Test(n.parkedW, t) {
+			n.park(t)
+		}
+		if bitvec.Test(n.dataW, t) {
+			n.waitData(t)
 		}
 	}
+	n.arrivals = append(n.arrivals, l.arrivals...)
+	for b, v := range l.cover {
+		n.cover[b] = v
+	}
 	n.writeQ = append([]memWrite(nil), l.writeQ...)
+	n.wqParked = l.wqParked
 	n.forwards = l.forwards
 	n.mshrRejects = l.mshrRejects
 	n.loadsIssued = l.loadsIssued

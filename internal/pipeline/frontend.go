@@ -50,7 +50,13 @@ type FrontEnd struct {
 	btb    *bpred.BTB
 	icache *mem.Cache
 
+	// buf is a window onto bufArr, allocated at the first fetch with
+	// twice the buffer's capacity: Pop advances its start, and Fetch
+	// slides it back to the front on reaching the array's end — at most
+	// once per capacity's worth of fetches — so the buffer never
+	// reallocates.
 	buf     []fetched
+	bufArr  []fetched
 	pending *isa.Inst // pushed-back instruction (fetch-group boundary)
 	seq     int64
 	done    bool
@@ -126,7 +132,8 @@ func (f *FrontEnd) Fetch(cycle int64) {
 		// Table 1: at most three branch predictions per cycle. A fourth
 		// branch ends the group and is refetched next cycle.
 		if in.Class == isa.Branch && branches >= f.cfg.MaxBranches {
-			f.pending = &in
+			p := in // only a held-over branch escapes to the heap
+			f.pending = &p
 			return
 		}
 
@@ -183,6 +190,14 @@ func (f *FrontEnd) Fetch(cycle int64) {
 			}
 		}
 
+		if len(f.buf) == cap(f.buf) {
+			if f.bufArr == nil {
+				f.bufArr = make([]fetched, 2*f.cfg.BufferCap)
+			}
+			n := copy(f.bufArr, f.buf)
+			clear(f.bufArr[n:])
+			f.buf = f.bufArr[:n]
+		}
 		f.buf = append(f.buf, fetched{u: u, readyAt: cycle + int64(f.Depth())})
 		if endGroup || stallForLine || f.stalledOn != nil {
 			return

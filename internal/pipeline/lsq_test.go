@@ -42,6 +42,7 @@ func TestLSQLoadAccess(t *testing.T) {
 		t.Fatal("load accessed before its EA was ready")
 	}
 	ld.EADone = 1
+	l.AddressIssued(ld)
 	l.Tick(1)
 	if l.LoadsIssued() != 1 {
 		t.Fatal("load did not access")
@@ -73,6 +74,7 @@ func TestLSQConservativeStoreBlocking(t *testing.T) {
 	l.Add(st)
 	l.Add(ld)
 	ld.EADone = 1
+	l.AddressIssued(ld)
 	// The store's address is unknown: the younger load must wait.
 	l.Tick(1)
 	if l.LoadsIssued() != 0 {
@@ -83,6 +85,7 @@ func TestLSQConservativeStoreBlocking(t *testing.T) {
 	}
 	st.EADone = 2
 	st.Complete = 2
+	l.AddressIssued(st)
 	l.Tick(2)
 	if l.LoadsIssued() != 1 {
 		t.Fatal("load still blocked after store resolved")
@@ -97,6 +100,8 @@ func TestLSQStoreToLoadForwarding(t *testing.T) {
 	l.Add(ld)
 	st.EADone, st.Complete = 1, 1
 	ld.EADone = 1
+	l.AddressIssued(st)
+	l.AddressIssued(ld)
 	var doneAt int64 = -1
 	l.OnLoadDone = func(cycle int64, u *uop.UOp) { doneAt = cycle }
 	l.Tick(2)
@@ -215,4 +220,75 @@ func TestOverlap(t *testing.T) {
 			t.Errorf("overlap(%#x/%d, %#x/%d) = %v", c.a1, c.s1, c.a2, c.s2, got)
 		}
 	}
+}
+
+func TestLSQRemoveOnlyAtHead(t *testing.T) {
+	for name, remove := range map[string]func(l *LSQ, older, younger, stranger *uop.UOp){
+		"younger":      func(l *LSQ, _, y, _ *uop.UOp) { l.Remove(y) },
+		"non-resident": func(l *LSQ, _, _, s *uop.UOp) { l.Remove(s) },
+		"second time":  func(l *LSQ, o, _, _ *uop.UOp) { l.Remove(o); l.Remove(o) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			l, _, _ := newTestLSQ(t, 8)
+			older, younger := loadAt(0, 0x100), loadAt(1, 0x200)
+			older.Complete, younger.Complete = 5, 5
+			l.Add(older)
+			l.Add(younger)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("LSQ removal away from the head must panic")
+				}
+			}()
+			remove(l, older, younger, loadAt(2, 0x300))
+		})
+	}
+}
+
+// BenchmarkLSQRetry drives a 512-entry LSQ with 8 read ports over a full
+// MSHR file: a streaming-miss load stream, one load in four re-reading a
+// line already in flight, and a store every eighth instruction, whose
+// bytes the next two loads read. Most loads park behind the MSHRs and
+// wake as fills free them or their line's miss is allocated; the loads
+// behind a store take its data by forwarding.
+func BenchmarkLSQRetry(b *testing.B) {
+	h := mem.MustNewHierarchy(mem.DefaultHierarchyConfig())
+	l := NewLSQ(512, h.L1D, h.EQ, iq.NewConventional(8), 8, 2)
+	var resident []*uop.UOp
+	seq := int64(0)
+	next := func() *uop.UOp {
+		i := seq
+		seq++
+		addr := uint64(0x100000) + uint64(i)*64
+		switch {
+		case i%8 == 7:
+			return storeAt(i, addr+64)
+		case i%4 == 1:
+			addr -= 64
+		}
+		return loadAt(i, addr)
+	}
+	for c := int64(1); c <= int64(b.N); c++ {
+		h.Tick(c)
+		for k := 0; k < 4 && len(resident) > 0; k++ {
+			u := resident[0]
+			if u.Complete == uop.NotYet || u.Complete > c {
+				break
+			}
+			if u.IsStore() {
+				l.CommitStore(u)
+			} else {
+				l.Remove(u)
+			}
+			resident = resident[1:]
+		}
+		for k := 0; k < 8 && !l.Full(); k++ {
+			u := next()
+			u.EADone = c + 1
+			l.Add(u)
+			resident = append(resident, u)
+		}
+		l.Tick(c)
+	}
+	b.ReportMetric(float64(l.MSHRRejects())/float64(max(1, l.LoadsIssued())), "rejects/load")
+	b.ReportMetric(float64(l.Forwards())/float64(b.N), "forwards/cycle")
 }

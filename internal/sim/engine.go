@@ -188,7 +188,8 @@ const (
 	// leaves execution; the LSQ takes over.
 	engOpExecDone uint8 = iota
 	// engOpWbDone (arg *uop.UOp): an instruction completed — leave
-	// execution and write back to the queue.
+	// execution, write back to the queue, and release any store in the
+	// LSQ waiting for the value as its data.
 	engOpWbDone
 )
 
@@ -199,7 +200,11 @@ func (e *Engine) HandleEvent(op uint8, now int64, _ mem.Kind, arg any) {
 		e.inExec--
 	case engOpWbDone:
 		e.inExec--
-		e.q.Writeback(now, arg.(*uop.UOp))
+		u := arg.(*uop.UOp)
+		e.q.Writeback(now, u)
+		if u.Inst.HasDest() {
+			e.ctxs[u.Thread].lsq.Produced(u)
+		}
 	}
 }
 
@@ -428,12 +433,14 @@ func (e *Engine) issue(c int64) int {
 			// would mask the deadlocks §4.5 recovers from. Its memory
 			// traffic keeps the machine active through the event queue.
 			u.EADone = c + lat
+			e.ctxs[u.Thread].lsq.AddressIssued(u)
 			e.hier.EQ.ScheduleRef(u.EADone, mem.Ref{H: e, Op: engOpExecDone})
 		case u.IsStore():
 			// Retirement (Complete) is set by the LSQ once the data is
 			// also ready; the chain writeback happens at EA completion
 			// (stores produce no register value).
 			u.EADone = c + lat
+			e.ctxs[u.Thread].lsq.AddressIssued(u)
 			e.hier.EQ.ScheduleRef(u.EADone, mem.Ref{H: e, Op: engOpWbDone, Arg: u})
 		default:
 			u.Complete = c + lat

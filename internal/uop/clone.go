@@ -39,10 +39,6 @@ func (cm *CloneMap) Get(u *UOp) *UOp {
 	c := new(UOp)
 	*c = *u
 	c.IQ = nil
-	// The clone's cache and LSQ restart their memo generations, so a
-	// carried memo could collide with an unrelated future generation.
-	c.RejGen = 0
-	c.FwdKey = 0
 	cm.m[u] = c
 	c.Prod[0] = cm.Get(u.Prod[0])
 	c.Prod[1] = cm.Get(u.Prod[1])

@@ -49,19 +49,6 @@ type UOp struct {
 	EADone int64
 	// MemKind records how the memory system serviced a load.
 	MemKind int8
-	// RejGen memoises an MSHR-file rejection: the cache's acceptance
-	// generation (mem.Cache.AcceptGen) when this load's access was last
-	// rejected. While the generation is unchanged the cache cannot
-	// service the load any differently, so the LSQ repeats the rejection
-	// without re-walking the tag array and MSHR file. Zero means no
-	// memo; clones drop it (the cloned cache restarts its generations).
-	RejGen uint64
-	// FwdKey memoises a negative store-to-load forwarding check: the
-	// LSQ's (coverage-epoch, stores-ahead) pair when this load last
-	// searched the coverage index and found nothing. While the pair is
-	// unchanged the index the load sees is unchanged, so the search is
-	// not repeated. Zero means no memo; clones drop it.
-	FwdKey uint64
 	// Mispredicted marks a branch the front end predicted incorrectly
 	// (direction or target).
 	Mispredicted bool
