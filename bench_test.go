@@ -32,9 +32,9 @@ func benchOptions() experiments.Options {
 // nine-instruction sequence dispatched and drained through a
 // three-segment queue.
 func BenchmarkFigure1Example(b *testing.B) {
-	none := isa.RegNone
-	add := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
-	mul := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} }
+	none := isa.Reg(isa.RegNone)
+	add := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
+	mul := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} }
 	prog := []isa.Inst{
 		add(none, none, 1), mul(none, none, 2), add(2, none, 4),
 		mul(4, none, 6), mul(6, none, 8), add(1, none, 3),
@@ -45,11 +45,11 @@ func BenchmarkFigure1Example(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		q := core.MustNew(cfg)
-		last := map[int]*uop.UOp{}
+		last := map[isa.Reg]*uop.UOp{}
 		var uops []*uop.UOp
 		for s, in := range prog {
 			u := uop.New(int64(s), in)
-			for j, src := range []int{in.Src1, in.Src2} {
+			for j, src := range []isa.Reg{in.Src1, in.Src2} {
 				if src != isa.RegNone {
 					if p, ok := last[src]; ok {
 						u.Prod[j] = p
@@ -218,7 +218,7 @@ func BenchmarkSegmentedQueueCycle(b *testing.B) {
 	q := core.MustNew(core.DefaultConfig(512, 128))
 	var seq int64
 	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		u := uop.New(seq, in)
 		seq++
 		if !q.Dispatch(0, u) {
@@ -248,7 +248,7 @@ func BenchmarkConventionalQueueCycle(b *testing.B) {
 	q := iq.NewConventional(512)
 	var seq int64
 	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		u := uop.New(seq, in)
 		seq++
 		if !q.Dispatch(0, u) {

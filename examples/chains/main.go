@@ -18,9 +18,9 @@ import (
 func main() {
 	// Figure 1(a): ADD latency 1, MUL latency 2 (modelled with the
 	// 2-cycle FpAdd class). Operands marked * are available.
-	none := isa.RegNone
-	add := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
-	mul := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} }
+	none := isa.Reg(isa.RegNone)
+	add := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
+	mul := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} }
 	prog := []isa.Inst{
 		add(none, none, 1), // i0: add *,*  -> r1
 		mul(none, none, 2), // i1: mul *,*  -> r2
@@ -41,11 +41,11 @@ func main() {
 	q := core.MustNew(cfg)
 
 	// A tiny renamer: producer edges by architectural register.
-	last := map[int]*uop.UOp{}
+	last := map[isa.Reg]*uop.UOp{}
 	var uops []*uop.UOp
 	for i, in := range prog {
 		u := uop.New(int64(i), in)
-		for j, src := range []int{in.Src1, in.Src2} {
+		for j, src := range []isa.Reg{in.Src1, in.Src2} {
 			if src != isa.RegNone {
 				if p, ok := last[src]; ok {
 					u.Prod[j] = p

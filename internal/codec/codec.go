@@ -135,8 +135,20 @@ func (r *Reader) U8() uint8 {
 	return r.buf[0]
 }
 
-// Bool reads a boolean.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
+// Bool reads a boolean. Writer.Bool emits only 0 or 1; any other byte is
+// corruption and fails the reader, so every decoded value has exactly one
+// encoding.
+func (r *Reader) Bool() bool {
+	switch v := r.U8(); v {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		r.Fail("codec: boolean byte %#x", v)
+		return false
+	}
+}
 
 // U32 reads a 32-bit value.
 func (r *Reader) U32() uint32 {

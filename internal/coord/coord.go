@@ -224,23 +224,33 @@ func NewServer(cfg Config) (*Server, error) {
 		workers:  make(map[string]*workerState),
 		done:     make(chan struct{}),
 	}
-	// Most-expensive-first, key order breaking ties so every restart
-	// derives the identical queue.
-	order := make([]JobCost, len(jobs))
+	// Most-expensive-first. Ties break by workload, then key: cost
+	// depends only on the workload, so each context set's jobs are
+	// contiguous and a worker's kept checkpoint serves consecutive
+	// leases; and every restart derives the identical queue.
+	type ranked struct {
+		experiments.JobSpec
+		cost float64
+	}
+	order := make([]ranked, len(jobs))
 	for i, j := range jobs {
-		order[i] = JobCost{Key: j.Key, Cost: cfg.Costs.Cost(j.Workload, cfg.Options.Instructions)}
+		order[i] = ranked{j, cfg.Costs.Cost(j.Workload, cfg.Options.Instructions)}
 		s.workload[j.Key] = j.Workload
 	}
-	sort.SliceStable(order, func(i, k int) bool {
-		if order[i].Cost != order[k].Cost {
-			return order[i].Cost > order[k].Cost
+	sort.Slice(order, func(i, k int) bool {
+		a, b := order[i], order[k]
+		if a.cost != b.cost {
+			return a.cost > b.cost
 		}
-		return order[i].Key < order[k].Key
+		if a.Workload != b.Workload {
+			return a.Workload < b.Workload
+		}
+		return a.Key < b.Key
 	})
 	s.pending = make([]string, len(order))
-	for i, jc := range order {
-		s.rank[jc.Key] = i
-		s.pending[i] = jc.Key
+	for i, j := range order {
+		s.rank[j.Key] = i
+		s.pending[i] = j.Key
 	}
 	if err := s.recoverSpool(); err != nil {
 		return nil, err
@@ -337,7 +347,7 @@ func fragSeq(name string) int {
 
 // parseFragment decodes and validates one uploaded fragment: schema,
 // header agreement with the coordinator's own grid plan, and every
-// result key a member of the grid.
+// result key a member of the grid with a non-null result.
 func (s *Server) parseFragment(body []byte) (*experiments.ShardFile, error) {
 	frag := new(experiments.ShardFile)
 	if err := json.Unmarshal(body, frag); err != nil {
@@ -351,9 +361,12 @@ func (s *Server) parseFragment(body []byte) (*experiments.ShardFile, error) {
 		return nil, fmt.Errorf("coord: fragment header mismatch:\n  got  %s\n  want %s",
 			frag.Header(), s.merged.Header())
 	}
-	for key := range frag.Results {
+	for key, r := range frag.Results {
 		if _, ok := s.rank[key]; !ok {
 			return nil, fmt.Errorf("coord: fragment result %q is not in %s's grid", key, s.cfg.Experiment)
+		}
+		if r == nil {
+			return nil, fmt.Errorf("coord: fragment result %q is null", key)
 		}
 	}
 	return frag, nil

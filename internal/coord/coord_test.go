@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -117,14 +118,27 @@ func leaseJobs(t *testing.T, base, worker string, max int) LeaseResponse {
 	return resp
 }
 
+// runJobs simulates the named grid points as a fragment, through a
+// worker's job runner.
+func runJobs(t *testing.T, o experiments.Options, experiment string, keys []string) *experiments.ShardFile {
+	t.Helper()
+	r, err := experiments.NewJobRunner(o, experiment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	frag, err := r.Run(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frag
+}
+
 // completeJobs simulates the named jobs like a worker would and posts
 // the fragment, recording each simulated key in simCount.
 func completeJobs(t *testing.T, base string, o experiments.Options, experiment, worker string, keys []string, simCount map[string]int) CompleteResponse {
 	t.Helper()
-	frag, err := experiments.RunJobs(o, experiment, keys)
-	if err != nil {
-		t.Fatal(err)
-	}
+	frag := runJobs(t, o, experiment, keys)
 	for _, k := range keys {
 		simCount[k]++
 	}
@@ -301,11 +315,7 @@ func TestCoordinatorDoubleCompletion(t *testing.T) {
 	if len(lease.Jobs) != 4 {
 		t.Fatalf("leased %v, want all 4 jobs", lease.Jobs)
 	}
-	frag, err := experiments.RunJobs(o, experiment, lease.Jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, err := json.Marshal(frag)
+	body, err := json.Marshal(runJobs(t, o, experiment, lease.Jobs))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -432,6 +442,36 @@ func TestQueueCostOrder(t *testing.T) {
 		if strings.HasSuffix(jc.Key, "/swim") != wantSwim {
 			t.Fatalf("queue position %d is %s; want all swim jobs first: %v", i, jc.Key, q)
 		}
+	}
+
+	// Without a cost model every job costs the same. Ties group by
+	// workload, so each context set's jobs lease back to back (a worker's
+	// kept checkpoint serves them all), and a second server — a restart —
+	// derives the identical queue.
+	cfg := Config{Experiment: "fig2", Options: o, SpoolDir: t.TempDir()}
+	s1, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q1 := s1.Queue()
+	if len(q1) != 26 {
+		t.Fatalf("fig2 queue has %d jobs, want 26", len(q1))
+	}
+	done := make(map[string]bool)
+	for i, jc := range q1 {
+		wl := jc.Key[strings.LastIndex(jc.Key, "/")+1:]
+		if i > 0 && !strings.HasSuffix(q1[i-1].Key, "/"+wl) && done[wl] {
+			t.Fatalf("%s jobs are not contiguous at position %d: %v", wl, i, q1)
+		}
+		done[wl] = true
+	}
+	cfg.SpoolDir = t.TempDir()
+	s2, err := NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q2 := s2.Queue(); !reflect.DeepEqual(q1, q2) {
+		t.Fatalf("two servers derived different queues:\n%v\n%v", q1, q2)
 	}
 }
 

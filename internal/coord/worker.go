@@ -17,10 +17,12 @@ import (
 
 // Worker is the pull loop behind `iqbench -worker -coord-url`: fetch
 // the coordinator's spec once, then lease → simulate → complete until
-// the grid is done. A heartbeat goroutine renews the current lease
-// while a batch simulates, so a slow batch is not mistaken for a dead
-// worker; a worker that really dies simply stops renewing and its
-// jobs re-queue at the coordinator after the lease TTL.
+// the grid is done. One experiments.JobRunner serves every batch, so a
+// worker warms each context set once rather than once per lease. A
+// heartbeat goroutine renews the current lease while a batch
+// simulates, so a slow batch is not mistaken for a dead worker; a
+// worker that really dies simply stops renewing and its jobs re-queue
+// at the coordinator after the lease TTL.
 type Worker struct {
 	// URL is the coordinator's base URL, e.g. "http://host:8377".
 	URL string
@@ -105,6 +107,11 @@ func (w *Worker) Run() error {
 		o.CheckpointURL = strings.TrimRight(w.URL, "/")
 		o.CkptStats = w.Stats
 	}
+	runner, err := experiments.NewJobRunner(o, spec.Experiment)
+	if err != nil {
+		return err
+	}
+	defer runner.Close()
 	ttl := time.Duration(spec.LeaseTTLMs) * time.Millisecond
 	name := w.name()
 	w.logf("[worker %s: %s grid from %s (n=%d warm=%d lease %s)]",
@@ -113,6 +120,7 @@ func (w *Worker) Run() error {
 	if batch <= 0 {
 		batch = 1
 	}
+	simulated := 0
 	for {
 		var lease LeaseResponse
 		if err := w.postRetry("/jobs/lease", LeaseRequest{Worker: name, Max: batch}, &lease); err != nil {
@@ -120,29 +128,30 @@ func (w *Worker) Run() error {
 		}
 		if len(lease.Jobs) == 0 {
 			if lease.Done {
-				w.logf("[worker %s: grid complete, exiting]", name)
+				w.logf("[worker %s: grid complete, %d jobs, %d warmups]", name, simulated, runner.Warmups())
 				return nil
 			}
 			// Everything left is leased elsewhere; poll for expiries.
 			time.Sleep(w.poll())
 			continue
 		}
-		if err := w.runBatch(o, spec.Experiment, name, lease.Jobs, ttl); err != nil {
+		if err := w.runBatch(runner, name, lease.Jobs, ttl); err != nil {
 			return err
 		}
+		simulated += len(lease.Jobs)
 	}
 }
 
 // runBatch simulates one leased batch under a heartbeat and uploads
 // the fragment.
-func (w *Worker) runBatch(o experiments.Options, experiment, name string, jobs []string, ttl time.Duration) error {
+func (w *Worker) runBatch(runner *experiments.JobRunner, name string, jobs []string, ttl time.Duration) error {
 	stop := make(chan struct{})
 	defer close(stop)
 	if ttl > 0 {
 		go w.heartbeat(name, jobs, ttl, stop)
 	}
 	w.logf("[worker %s: simulating %d jobs: %s]", name, len(jobs), strings.Join(jobs, ", "))
-	frag, err := experiments.RunJobs(o, experiment, jobs)
+	frag, err := runner.Run(jobs)
 	if err != nil {
 		return fmt.Errorf("coord worker: jobs %v: %w", jobs, err)
 	}

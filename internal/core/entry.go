@@ -253,10 +253,10 @@ func newRegTable(threads int) regTable {
 }
 
 // index returns the row index of a thread's architectural register.
-func (t *regTable) index(thread, reg int) int { return thread*isa.NumRegs + reg }
+func (t *regTable) index(thread int, reg isa.Reg) int { return thread*isa.NumRegs + int(reg) }
 
 // row returns the entry for a thread's architectural register.
-func (t *regTable) row(thread, reg int) *regEntry {
+func (t *regTable) row(thread int, reg isa.Reg) *regEntry {
 	return &t.rows[t.index(thread, reg)]
 }
 

@@ -23,9 +23,9 @@ import (
 // 2 are exactly the paper's assumptions... IntMul in Table 1 is 3 cycles,
 // so the figure's 2-cycle MUL is modelled with FpAdd (latency 2).
 func figure1Program() []isa.Inst {
-	none := isa.RegNone
-	add := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
-	mul := func(s1, s2, d int) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} } // 2-cycle op
+	none := isa.Reg(isa.RegNone)
+	add := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d} }
+	mul := func(s1, s2, d isa.Reg) isa.Inst { return isa.Inst{Class: isa.FpAdd, Src1: s1, Src2: s2, Dest: d} } // 2-cycle op
 	return []isa.Inst{
 		add(none, none, 1), // i0
 		mul(none, none, 2), // i1

@@ -346,11 +346,11 @@ type oraclePending struct {
 func oracleProgram(r *rand.Rand, n, threads int) (prog []*uop.UOp, lat []int64) {
 	prog = make([]*uop.UOp, n)
 	lat = make([]int64, n)
-	last := make([]map[int]*uop.UOp, threads)
+	last := make([]map[isa.Reg]*uop.UOp, threads)
 	for i := range last {
-		last[i] = map[int]*uop.UOp{}
+		last[i] = map[isa.Reg]*uop.UOp{}
 	}
-	reg := func() int { return 1 + r.Intn(24) }
+	reg := func() isa.Reg { return isa.Reg(1 + r.Intn(24)) }
 	for i := range prog {
 		in := isa.Inst{PC: 0x4000 + uint64(4*(i%64)), Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.RegNone}
 		switch x := r.Intn(20); {

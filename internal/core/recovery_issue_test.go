@@ -98,7 +98,7 @@ func TestRepeatedRecoveryKeepsSegmentsConsistent(t *testing.T) {
 	var wedged []*uop.UOp
 	seq := int64(0)
 	for q.Len() < q.Capacity() {
-		u := uop.New(seq, aluInst(isa.RegNone, isa.RegNone, 1+int(seq)%8))
+		u := uop.New(seq, aluInst(isa.RegNone, isa.RegNone, isa.Reg(1+seq%8)))
 		u.Prod[0] = ghost
 		if !q.Dispatch(0, u) {
 			break

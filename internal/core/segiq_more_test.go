@@ -112,7 +112,7 @@ func TestHMPMispredictedHitFloodsSegmentZero(t *testing.T) {
 	}
 	var consumers []*uop.UOp
 	for i := 0; i < 4; i++ {
-		c := r.rename(aluInst(1, isa.RegNone, 2+i))
+		c := r.rename(aluInst(1, isa.RegNone, isa.Reg(2+i)))
 		q.Dispatch(100, c)
 		consumers = append(consumers, c)
 	}
@@ -280,7 +280,7 @@ func TestUnlimitedChainsNeverStall(t *testing.T) {
 	q := MustNew(smallCfg(16, 32, 8))
 	r := newTestRenamer()
 	for i := 0; i < 300; i++ {
-		ld := r.rename(loadInst(isa.RegNone, 1+i%20))
+		ld := r.rename(loadInst(isa.RegNone, isa.Reg(1+i%20)))
 		if !q.Dispatch(int64(i), ld) {
 			t.Fatalf("dispatch %d stalled with unlimited chains", i)
 		}

@@ -12,16 +12,16 @@ import (
 // testRenamer mimics the pipeline's renamer: it wires Prod edges from the
 // most recent in-flight writer of each architectural register.
 type testRenamer struct {
-	last map[int]*uop.UOp
+	last map[isa.Reg]*uop.UOp
 	seq  int64
 }
 
-func newTestRenamer() *testRenamer { return &testRenamer{last: make(map[int]*uop.UOp)} }
+func newTestRenamer() *testRenamer { return &testRenamer{last: make(map[isa.Reg]*uop.UOp)} }
 
 func (r *testRenamer) rename(in isa.Inst) *uop.UOp {
 	u := uop.New(r.seq, in)
 	r.seq++
-	for j, src := range [...]int{in.Src1, in.Src2} {
+	for j, src := range [...]isa.Reg{in.Src1, in.Src2} {
 		if src == isa.RegNone || src == isa.RegZero {
 			continue
 		}
@@ -35,11 +35,11 @@ func (r *testRenamer) rename(in isa.Inst) *uop.UOp {
 	return u
 }
 
-func aluInst(s1, s2, d int) isa.Inst {
+func aluInst(s1, s2, d isa.Reg) isa.Inst {
 	return isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d}
 }
 
-func loadInst(addrReg, d int) isa.Inst {
+func loadInst(addrReg, d isa.Reg) isa.Inst {
 	return isa.Inst{Class: isa.Load, Src1: addrReg, Src2: isa.RegNone, Dest: d, Size: 8, Addr: 0x1000}
 }
 

@@ -18,7 +18,7 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 	q := distiq.MustNew(distiq.DefaultConfig(320))
 	var seq int64
 	for i := 0; i < 320; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		if !q.Dispatch(0, uop.New(seq, in)) {
 			break
 		}

@@ -158,8 +158,8 @@ func (q *DistIQ) Len() int { return q.total }
 // other quasi-static designs (§5).
 func (q *DistIQ) ExtraDispatchStages() int { return 1 }
 
-func (q *DistIQ) availRow(thread, reg int) *availEntry {
-	return &q.avail[thread*isa.NumRegs+reg]
+func (q *DistIQ) availRow(thread int, reg isa.Reg) *availEntry {
+	return &q.avail[thread*isa.NumRegs+int(reg)]
 }
 
 // readiness classifies operand j of u at the given cycle: the predicted

@@ -164,23 +164,70 @@ type ckKey struct {
 // last fork for a key evicts its checkpoint, so a long batch holds at
 // most the warmed machines still feeding unforked grid points instead of
 // every workload's template until the batch ends.
+//
+// A cache that outlives one batch (keepIdle, the JobRunner's) keeps the
+// checkpoint whose last claim dropped as its single idle entry instead,
+// so the next batch over the same context set forks it without a
+// warmup. A newer idle entry replaces the older one, and a warmup of any
+// other context set releases the idle entry before it starts, so peak
+// memory is one idle checkpoint plus those still claimed.
 type ckCache struct {
 	o Options
 	// st is the cross-process checkpoint store, nil for in-memory-only
-	// batches. One client per batch, so store-failure warnings print
+	// batches. One client per cache, so store-failure warnings print
 	// once and a degraded remote store fails fast for the whole sweep.
-	st *sim.StoreClient
-	mu sync.Mutex
-	m  map[ckKey]*ckEntry
+	st       *sim.StoreClient
+	keepIdle bool
+	mu       sync.Mutex
+	m        map[ckKey]*ckEntry
+	// idle is the unclaimed entry kept warm (keepIdle only), or nil.
+	idle *ckEntry
+	// warmups counts checkpoints built here rather than loaded from st.
+	warmups atomic.Int64
 }
 
 type ckEntry struct {
+	key  ckKey
 	once sync.Once
 	ck   *sim.Checkpoint
 	err  error
 	// refs counts grid points that have yet to fork this checkpoint;
 	// guarded by the cache mutex.
 	refs int
+}
+
+// entryLocked returns key's entry, creating it. Callers hold c.mu.
+func (c *ckCache) entryLocked(key ckKey) *ckEntry {
+	e := c.m[key]
+	if e == nil {
+		e = &ckEntry{key: key}
+		c.m[key] = e
+	}
+	return e
+}
+
+// releaseLocked evicts e and releases its checkpoint. Callers hold c.mu.
+func (c *ckCache) releaseLocked(e *ckEntry) {
+	if e.ck != nil {
+		e.ck.Release()
+	}
+	delete(c.m, e.key)
+	if c.idle == e {
+		c.idle = nil
+	}
+}
+
+// unclaimedLocked applies the retention rule to an entry whose last claim
+// just dropped. Callers hold c.mu.
+func (c *ckCache) unclaimedLocked(e *ckEntry) {
+	if !c.keepIdle || e.ck == nil {
+		c.releaseLocked(e)
+		return
+	}
+	if c.idle != nil {
+		c.releaseLocked(c.idle)
+	}
+	c.idle = e
 }
 
 func (c *ckCache) key(j job) ckKey {
@@ -190,49 +237,55 @@ func (c *ckCache) key(j job) ckKey {
 
 // retain registers each job's claim on its checkpoint before the batch
 // starts, so forked can tell when a checkpoint has served its last grid
-// point. Jobs skipped by the batch's stop flag never drop their claim;
-// that only delays eviction on a batch that is already aborting.
+// point. Claiming the idle entry makes it live again. Jobs skipped by the
+// batch's stop flag never drop their claim; settle drops them once the
+// batch is over.
 func (c *ckCache) retain(jobs []job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, j := range jobs {
-		k := c.key(j)
-		e := c.m[k]
-		if e == nil {
-			e = new(ckEntry)
-			c.m[k] = e
+		e := c.entryLocked(c.key(j))
+		if e == c.idle {
+			c.idle = nil
 		}
 		e.refs++
 	}
 }
 
 func (c *ckCache) get(j job) (*sim.Checkpoint, error) {
-	key := c.key(j)
 	c.mu.Lock()
-	e := c.m[key]
-	if e == nil {
-		e = new(ckEntry)
-		c.m[key] = e
-	}
+	e := c.entryLocked(c.key(j))
 	c.mu.Unlock()
 	e.once.Do(func() {
+		// The idle entry is another context set (this one is unbuilt), so
+		// release it before this warmup allocates.
+		c.mu.Lock()
+		if c.idle != nil {
+			c.releaseLocked(c.idle)
+		}
+		c.mu.Unlock()
 		specs := c.o.contexts(j.wl)
+		hit := false
 		if c.st == nil {
 			e.ck, e.err = sim.NewCheckpoint(j.cfg, specs...)
-			return
+		} else {
+			// Hit/miss/fallback accounting lives in the StoreClient; store
+			// failures never surface here — LoadOrNew degrades to a local
+			// warmup instead, so a broken store cannot kill the batch.
+			e.ck, hit, e.err = c.st.LoadOrNew(j.cfg, specs...)
 		}
-		// Hit/miss/fallback accounting lives in the StoreClient; store
-		// failures never surface here — LoadOrNew degrades to a local
-		// warmup instead, so a broken store cannot kill the batch.
-		e.ck, _, e.err = c.st.LoadOrNew(j.cfg, specs...)
+		if e.err == nil && !hit {
+			c.warmups.Add(1)
+		}
 	})
 	return e.ck, e.err
 }
 
 // forked drops j's claim on its checkpoint. The last claim evicts the
-// entry and releases the checkpoint, which also unpins its stream cursor
-// so the fork source can trim the memoised suffix behind the machines
-// still running (trace.ForkCursor.Release).
+// entry (or keeps it as the idle entry) and releases the checkpoint,
+// which also unpins its stream cursor so the fork source can trim the
+// memoised suffix behind the machines still running
+// (trace.ForkCursor.Release).
 func (c *ckCache) forked(j job) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -242,10 +295,21 @@ func (c *ckCache) forked(j job) {
 	}
 	e.refs--
 	if e.refs == 0 {
-		if e.ck != nil {
-			e.ck.Release()
+		c.unclaimedLocked(e)
+	}
+}
+
+// settle drops the claims a finished batch left behind (families its
+// stop flag skipped). Call it only when no family of the cache is
+// running.
+func (c *ckCache) settle() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.m {
+		if e.refs > 0 {
+			e.refs = 0
+			c.unclaimedLocked(e)
 		}
-		delete(c.m, c.key(j))
 	}
 }
 
@@ -337,10 +401,19 @@ func (o Options) runAll(jobs []job) (map[string]*sim.Result, error) {
 	if err := o.validateBenchmarks(); err != nil {
 		return nil, err
 	}
-	cks := &ckCache{o: o, st: o.storeClient(), m: make(map[ckKey]*ckEntry)}
-	cks.retain(jobs)
-	return o.runFamiliesWith(cks.families(jobs), func(f family) ([]*sim.Result, error) {
-		return cks.runFamily(f, o.Instructions)
+	return o.newCkCache(false).runBatch(jobs)
+}
+
+func (o Options) newCkCache(keepIdle bool) *ckCache {
+	return &ckCache{o: o, st: o.storeClient(), keepIdle: keepIdle, m: make(map[ckKey]*ckEntry)}
+}
+
+// runBatch claims the batch's checkpoints and simulates its families.
+func (c *ckCache) runBatch(jobs []job) (map[string]*sim.Result, error) {
+	c.retain(jobs)
+	defer c.settle()
+	return c.o.runFamiliesWith(c.families(jobs), func(f family) ([]*sim.Result, error) {
+		return c.runFamily(f, c.o.Instructions)
 	})
 }
 

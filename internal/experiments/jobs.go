@@ -8,10 +8,10 @@ import (
 
 // Grid-plan and job-subset entry points for the sweep coordinator
 // (internal/coord): the coordinator enumerates an experiment's grid
-// once, hands out job keys under leases, and workers simulate exactly
-// the named subset, returning a fragment ShardFile the coordinator
-// accumulates into the file a single-process RunShard(0,1) run would
-// have written.
+// once, hands out job keys under leases, and each worker's JobRunner
+// simulates exactly the named subset, returning a fragment ShardFile the
+// coordinator accumulates into the file a single-process RunShard(0,1)
+// run would have written.
 
 // JobSpec describes one grid point for scheduling purposes: its stable
 // key and the "+"-joined context set it simulates (the workload string
@@ -42,47 +42,57 @@ func GridPlan(o Options, experiment string) (*ShardFile, []JobSpec, error) {
 	for i, j := range jobs {
 		specs[i] = JobSpec{Key: j.key, Workload: j.wl}
 	}
-	sf := &ShardFile{
-		Schema:       ShardSchema,
-		Experiment:   experiment,
-		Shard:        0,
-		NumShards:    1,
-		TotalJobs:    len(jobs),
-		Instructions: o.Instructions,
-		Warmup:       o.Warmup,
-		Seed:         o.Seed,
-		Contexts:     gridContexts(jobs),
-		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult, len(jobs)),
-	}
-	return sf, specs, nil
+	return newShardFile(o, experiment, jobs, 0, 1), specs, nil
 }
 
-// RunJobs simulates exactly the named grid points of the experiment
-// and returns them as a fragment: a ShardFile with the single-process
-// header (shard 0 of 1, TotalJobs the whole grid) whose Results hold
-// only the requested keys. Fragments from disjoint key sets accumulate
-// into the full single-process file. Unknown keys are rejected before
-// any simulation is spent.
-func RunJobs(o Options, experiment string, keys []string) (*ShardFile, error) {
-	sf, _, err := GridPlan(o, experiment)
-	if err != nil {
+// JobRunner simulates leased subsets of one experiment's grid for a
+// coordinator worker. It plans the grid once and owns one checkpoint
+// cache and one store client for its whole life, so consecutive batches
+// over the same context set fork the same warm checkpoint instead of
+// re-warming it, and a remote store's failure state carries across
+// batches. Between batches it keeps at most one idle checkpoint (see
+// ckCache). Run is not safe for concurrent use.
+type JobRunner struct {
+	experiment string
+	header     ShardFile
+	byKey      map[string]job
+	cks        *ckCache
+}
+
+// NewJobRunner plans the named experiment's grid under o.
+func NewJobRunner(o Options, experiment string) (*JobRunner, error) {
+	if err := o.validateBenchmarks(); err != nil {
 		return nil, err
 	}
 	jobs, err := experimentJobs(experiment, o)
 	if err != nil {
 		return nil, err
 	}
-	byKey := make(map[string]job, len(jobs))
-	for _, j := range jobs {
-		byKey[j.key] = j
+	r := &JobRunner{
+		experiment: experiment,
+		header:     *newShardFile(o, experiment, jobs, 0, 1),
+		byKey:      make(map[string]job, len(jobs)),
+		cks:        o.newCkCache(true),
 	}
+	for _, j := range jobs {
+		r.byKey[j.key] = j
+	}
+	return r, nil
+}
+
+// Run simulates exactly the named grid points and returns them as a
+// fragment: a ShardFile with the single-process header (shard 0 of 1,
+// TotalJobs the whole grid) whose Results hold only the requested keys.
+// Fragments from disjoint key sets accumulate into the full
+// single-process file. Unknown or repeated keys are rejected before any
+// simulation is spent.
+func (r *JobRunner) Run(keys []string) (*ShardFile, error) {
 	mine := make([]job, 0, len(keys))
 	seen := make(map[string]bool, len(keys))
 	for _, k := range keys {
-		j, ok := byKey[k]
+		j, ok := r.byKey[k]
 		if !ok {
-			return nil, fmt.Errorf("experiments: job %q is not in %s's grid", k, experiment)
+			return nil, fmt.Errorf("experiments: job %q is not in %s's grid", k, r.experiment)
 		}
 		if seen[k] {
 			return nil, fmt.Errorf("experiments: job %q requested twice", k)
@@ -90,24 +100,29 @@ func RunJobs(o Options, experiment string, keys []string) (*ShardFile, error) {
 		seen[k] = true
 		mine = append(mine, j)
 	}
-	res, err := o.runAll(mine)
+	res, err := r.cks.runBatch(mine)
 	if err != nil {
 		return nil, err
 	}
-	if o.CkptStats != nil {
-		sf.CkptStats = o.CkptStats.Values()
+	sf := r.header
+	sf.Results = make(map[string]*RecordedResult, len(res))
+	sf.record(r.cks.o, res)
+	return &sf, nil
+}
+
+// Warmups returns how many checkpoints the runner has warmed itself
+// (store hits excluded).
+func (r *JobRunner) Warmups() int { return int(r.cks.warmups.Load()) }
+
+// Close releases every checkpoint the runner still holds. The runner
+// must not be used afterwards.
+func (r *JobRunner) Close() {
+	c := r.cks
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.m {
+		c.releaseLocked(e)
 	}
-	for key, r := range res {
-		sf.Results[key] = &RecordedResult{
-			Workload:     r.Workload,
-			QueueName:    r.QueueName,
-			Instructions: r.Instructions,
-			Cycles:       r.Cycles,
-			IPC:          r.IPC,
-			Stats:        r.Stats.Values(),
-		}
-	}
-	return sf, nil
 }
 
 // Header returns the canonical header string every shard or fragment

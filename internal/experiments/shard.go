@@ -137,19 +137,31 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 	if err != nil {
 		return nil, err
 	}
-	sf := &ShardFile{
+	sf := newShardFile(o, experiment, jobs, shard, numShards)
+	sf.record(o, res)
+	return sf, nil
+}
+
+// newShardFile returns shard `shard` of `numShards` of a grid's file
+// with every header field set and no results yet.
+func newShardFile(o Options, experiment string, grid []job, shard, numShards int) *ShardFile {
+	return &ShardFile{
 		Schema:       ShardSchema,
 		Experiment:   experiment,
 		Shard:        shard,
 		NumShards:    numShards,
-		TotalJobs:    len(jobs),
+		TotalJobs:    len(grid),
 		Instructions: o.Instructions,
 		Warmup:       o.Warmup,
 		Seed:         o.Seed,
-		Contexts:     gridContexts(jobs),
+		Contexts:     gridContexts(grid),
 		Benchmarks:   o.Benchmarks,
-		Results:      make(map[string]*RecordedResult, len(mine)),
+		Results:      make(map[string]*RecordedResult),
 	}
+}
+
+// record adds simulated results to sf, with o's store counters.
+func (sf *ShardFile) record(o Options, res map[string]*sim.Result) {
 	if o.CkptStats != nil {
 		sf.CkptStats = o.CkptStats.Values()
 	}
@@ -163,7 +175,6 @@ func RunShard(o Options, experiment string, shard, numShards int) (*ShardFile, e
 			Stats:        r.Stats.Values(),
 		}
 	}
-	return sf, nil
 }
 
 // header returns the fields every shard of one sweep must agree on.

@@ -18,7 +18,7 @@ func TestCycleLoopDoesNotAllocate(t *testing.T) {
 	q := fifoiq.MustNew(fifoiq.DefaultConfig(128))
 	var seq int64
 	for i := 0; i < 128; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		if !q.Dispatch(0, uop.New(seq, in)) {
 			break
 		}

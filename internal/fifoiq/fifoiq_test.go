@@ -8,7 +8,7 @@ import (
 	"repro/internal/uop"
 )
 
-func alu(seq int64, s1, s2, d int) *uop.UOp {
+func alu(seq int64, s1, s2, d isa.Reg) *uop.UOp {
 	return uop.New(seq, isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d})
 }
 
@@ -64,7 +64,7 @@ func TestSteeringBehindProducer(t *testing.T) {
 func TestIndependentInstructionsSpreadAcrossFIFOs(t *testing.T) {
 	q := MustNew(Config{FIFOs: 3, Depth: 4})
 	for i := int64(0); i < 3; i++ {
-		if !q.Dispatch(0, alu(i, isa.RegNone, isa.RegNone, int(i)+1)) {
+		if !q.Dispatch(0, alu(i, isa.RegNone, isa.RegNone, isa.Reg(i+1))) {
 			t.Fatal("dispatch failed")
 		}
 	}

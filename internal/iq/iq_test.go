@@ -13,7 +13,7 @@ import (
 	"repro/internal/uop"
 )
 
-func alu(seq int64, src1, src2, dest int) *uop.UOp {
+func alu(seq int64, src1, src2, dest isa.Reg) *uop.UOp {
 	return uop.New(seq, isa.Inst{Class: isa.IntAlu, Src1: src1, Src2: src2, Dest: dest})
 }
 

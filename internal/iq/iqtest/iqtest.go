@@ -75,6 +75,7 @@ func Fuzz(t *testing.T, mk func() iq.Queue, o Options) {
 // registers with most-recent-writer producer edges.
 func buildProg(r *rng, n int) []*uop.UOp {
 	prog := make([]*uop.UOp, n)
+	reg := func() isa.Reg { return isa.Reg(1 + r.intn(20)) }
 	for i := range prog {
 		var in isa.Inst
 		in.PC = 0x1000 + uint64(4*i)
@@ -82,30 +83,30 @@ func buildProg(r *rng, n int) []*uop.UOp {
 		switch r.intn(10) {
 		case 0, 1, 2: // load
 			in.Class = isa.Load
-			in.Src1 = 1 + r.intn(20)
-			in.Dest = 1 + r.intn(20)
+			in.Src1 = reg()
+			in.Dest = reg()
 			in.Size = 8
 			in.Addr = uint64(0x10000 + r.intn(1<<16))
 		case 3: // store
 			in.Class = isa.Store
-			in.Src1 = 1 + r.intn(20)
-			in.Src2 = 1 + r.intn(20)
+			in.Src1 = reg()
+			in.Src2 = reg()
 			in.Size = 8
 			in.Addr = uint64(0x10000 + r.intn(1<<16))
 		case 4: // branch
 			in.Class = isa.Branch
-			in.Src1 = 1 + r.intn(20)
+			in.Src1 = reg()
 		default: // ALU with 1-2 sources
 			in.Class = isa.IntAlu
-			in.Src1 = 1 + r.intn(20)
+			in.Src1 = reg()
 			if r.intn(2) == 0 {
-				in.Src2 = 1 + r.intn(20)
+				in.Src2 = reg()
 			}
-			in.Dest = 1 + r.intn(20)
+			in.Dest = reg()
 		}
 		prog[i] = uop.New(int64(i), in)
 	}
-	last := map[int]*uop.UOp{}
+	last := map[isa.Reg]*uop.UOp{}
 	for _, u := range prog {
 		for j := 0; j < 2; j++ {
 			src := u.Src(j)

@@ -108,25 +108,31 @@ const (
 	RegNone = -1
 )
 
+// Reg is an architectural register index (0..NumRegs-1) or RegNone. It
+// is an int8 because Inst is the element of every trace memo chunk and is
+// embedded in every in-flight UOp: a narrow register field keeps Inst at
+// 32 bytes (64 with int fields) and UOp in the 128-byte size class.
+type Reg int8
+
 // IntReg returns the architectural index of integer register n.
-func IntReg(n int) int {
+func IntReg(n int) Reg {
 	if n < 0 || n >= NumIntRegs {
 		panic(fmt.Sprintf("isa: integer register %d out of range", n))
 	}
-	return n
+	return Reg(n)
 }
 
 // FpReg returns the architectural index of floating-point register n.
-func FpReg(n int) int {
+func FpReg(n int) Reg {
 	if n < 0 || n >= NumFpRegs {
 		panic(fmt.Sprintf("isa: fp register %d out of range", n))
 	}
-	return NumIntRegs + n
+	return Reg(NumIntRegs + n)
 }
 
 // RegName returns a human-readable name ("r7", "f12") for an architectural
 // register index, or "-" for RegNone.
-func RegName(r int) string {
+func RegName(r Reg) string {
 	switch {
 	case r == RegNone:
 		return "-"
@@ -141,21 +147,25 @@ func RegName(r int) string {
 // Inst is one dynamic instruction record in a trace. It is the static
 // information the pipeline front end receives; all scheduling state lives in
 // the pipeline's dynamic wrapper.
+//
+// The one-byte fields sit together after PC so the record packs into 32
+// bytes with no interior padding.
 type Inst struct {
 	PC    uint64 // instruction address
 	Class Class
 
-	Src1 int // architectural source register or RegNone
-	Src2 int // architectural source register or RegNone
-	Dest int // architectural destination register or RegNone
+	Src1 Reg // architectural source register or RegNone
+	Src2 Reg // architectural source register or RegNone
+	Dest Reg // architectural destination register or RegNone
+
+	// Size is the access size in bytes for Load/Store classes.
+	Size uint8
+	// Taken is the actual direction for Branch classes.
+	Taken bool
 
 	// Addr is the effective address for Load/Store classes.
 	Addr uint64
-	// Size is the access size in bytes for Load/Store classes.
-	Size uint8
-
-	// Taken and Target describe the actual outcome for Branch classes.
-	Taken  bool
+	// Target is the actual target of a taken Branch.
 	Target uint64
 }
 
@@ -174,7 +184,7 @@ func (in *Inst) Validate() error {
 	if !in.Class.Valid() {
 		return fmt.Errorf("isa: invalid class %d at pc %#x", in.Class, in.PC)
 	}
-	for _, r := range [...]int{in.Src1, in.Src2, in.Dest} {
+	for _, r := range [...]Reg{in.Src1, in.Src2, in.Dest} {
 		if r != RegNone && (r < 0 || r >= NumRegs) {
 			return fmt.Errorf("isa: register %d out of range at pc %#x", r, in.PC)
 		}

@@ -4,7 +4,16 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// Inst is the element of every trace memo chunk, so its size is memory
+// a kept checkpoint pins; the field order packs it with no padding.
+func TestInstIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Inst{}); got != 32 {
+		t.Fatalf("isa.Inst is %d bytes, want 32", got)
+	}
+}
 
 func TestClassLatenciesMatchTable1(t *testing.T) {
 	// Table 1: integer: mul 3, div 20, all others 1;
@@ -156,7 +165,7 @@ func TestInstString(t *testing.T) {
 func TestRegNameUniqueProperty(t *testing.T) {
 	seen := make(map[string]int)
 	for r := 0; r < NumRegs; r++ {
-		n := RegName(r)
+		n := RegName(Reg(r))
 		if prev, dup := seen[n]; dup {
 			t.Fatalf("RegName collision: %d and %d both %q", prev, r, n)
 		}

@@ -115,7 +115,7 @@ func segmentedCycleLoop(b *testing.B) {
 	q := core.MustNew(core.DefaultConfig(512, 128))
 	var seq int64
 	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		u := uop.New(seq, in)
 		seq++
 		if !q.Dispatch(0, u) {
@@ -145,7 +145,7 @@ func conventionalCycleLoop(b *testing.B) {
 	q := iq.NewConventional(512)
 	var seq int64
 	for i := 0; i < 400; i++ {
-		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%20}
+		in := isa.Inst{Class: isa.IntAlu, Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%20)}
 		u := uop.New(seq, in)
 		seq++
 		if !q.Dispatch(0, u) {

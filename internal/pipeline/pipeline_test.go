@@ -7,7 +7,7 @@ import (
 	"repro/internal/uop"
 )
 
-func alu(seq int64, s1, s2, d int) *uop.UOp {
+func alu(seq int64, s1, s2, d isa.Reg) *uop.UOp {
 	return uop.New(seq, isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d})
 }
 

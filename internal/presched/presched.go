@@ -141,8 +141,8 @@ func New(cfg Config) (*PreschedIQ, error) {
 }
 
 // availRow returns a thread's availability-table entry for reg.
-func (q *PreschedIQ) availRow(thread, reg int) *availEntry {
-	return &q.avail[thread*isa.NumRegs+reg]
+func (q *PreschedIQ) availRow(thread int, reg isa.Reg) *availEntry {
+	return &q.avail[thread*isa.NumRegs+int(reg)]
 }
 
 // MustNew is New for known-good configurations.

@@ -8,11 +8,11 @@ import (
 	"repro/internal/uop"
 )
 
-func alu(seq int64, s1, s2, d int) *uop.UOp {
+func alu(seq int64, s1, s2, d isa.Reg) *uop.UOp {
 	return uop.New(seq, isa.Inst{Class: isa.IntAlu, Src1: s1, Src2: s2, Dest: d})
 }
 
-func load(seq int64, d int) *uop.UOp {
+func load(seq int64, d isa.Reg) *uop.UOp {
 	return uop.New(seq, isa.Inst{Class: isa.Load, Src1: isa.RegNone, Src2: isa.RegNone, Dest: d, Size: 8})
 }
 

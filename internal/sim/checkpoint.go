@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/pipeline"
 	"repro/internal/trace"
@@ -47,6 +48,9 @@ type Checkpoint struct {
 	// frontier itself), so Save records the absolute value here to stay
 	// construction-path independent.
 	frontiers []int64
+
+	// released is set by Release; Fork refuses a released checkpoint.
+	released atomic.Bool
 }
 
 // NewCheckpoint builds one hardware context per spec, fast-forwards the
@@ -104,8 +108,11 @@ func (ck *Checkpoint) Contexts() int { return len(ck.specs) }
 // pinned at the warm frontier, which forces each fork source to keep the
 // whole measured suffix memoised for potential future forks — are
 // unregistered, so the sources' live trimming can follow the machines
-// already forked instead. Fork must not be called after Release.
+// already forked instead. Fork fails after Release, which is idempotent.
 func (ck *Checkpoint) Release() {
+	if !ck.released.CompareAndSwap(false, true) {
+		return
+	}
 	for _, th := range ck.template.ctxs {
 		if c, ok := th.stream.(*trace.ForkCursor); ok {
 			c.Release()
@@ -123,6 +130,9 @@ func (ck *Checkpoint) Release() {
 // ever read.
 func (ck *Checkpoint) Fork(cfg Config) (*Processor, error) {
 	t := ck.template
+	if ck.released.Load() {
+		return nil, fmt.Errorf("sim: fork of a released checkpoint")
+	}
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}

@@ -19,7 +19,7 @@ func aluTrace(n int, interpose map[int]isa.Inst) []isa.Inst {
 			continue
 		}
 		out = append(out, isa.Inst{PC: 0x1000 + uint64(4*i), Class: isa.IntAlu,
-			Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%8})
+			Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%8)})
 	}
 	return out
 }
@@ -123,7 +123,7 @@ func TestLSQFullStall(t *testing.T) {
 	var ins []isa.Inst
 	for i := 0; i < 24; i++ {
 		ins = append(ins, isa.Inst{PC: 0x1000 + uint64(4*i), Class: isa.Load,
-			Src1: isa.RegNone, Src2: isa.RegNone, Dest: 1 + i%8, Size: 8,
+			Src1: isa.RegNone, Src2: isa.RegNone, Dest: isa.Reg(1 + i%8), Size: 8,
 			Addr: 0x10_0000 + uint64(64*i)})
 	}
 	cfg := DefaultConfig(QueueIdeal, 64)

@@ -121,7 +121,7 @@ var (
 
 )
 
-func f(n int) int { return isa.FpReg(n) }
+func f(n int) isa.Reg { return isa.FpReg(n) }
 
 var fConst = f(30) // never written: always-ready FP constant
 

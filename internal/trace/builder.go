@@ -30,28 +30,28 @@ func NewBuilder(name string, pcBase uint64) *Builder {
 func (b *Builder) Block(label string) { b.k.block(label) }
 
 // Op adds a register-to-register operation of the given class.
-func (b *Builder) Op(class isa.Class, dest, src1, src2 int) { b.k.op(class, dest, src1, src2) }
+func (b *Builder) Op(class isa.Class, dest, src1, src2 isa.Reg) { b.k.op(class, dest, src1, src2) }
 
 // Load adds a load of size bytes: addrReg is the register dependence of
 // the effective-address calculation; addr yields the dynamic address.
-func (b *Builder) Load(dest, addrReg int, size uint8, addr func() uint64) {
+func (b *Builder) Load(dest, addrReg isa.Reg, size uint8, addr func() uint64) {
 	b.k.load(dest, addrReg, size, addr)
 }
 
 // LoadIndexed adds a load whose address depends on two registers
 // (base + index), the shape that creates two-chain instructions.
-func (b *Builder) LoadIndexed(dest, baseReg, indexReg int, size uint8, addr func() uint64) {
+func (b *Builder) LoadIndexed(dest, baseReg, indexReg isa.Reg, size uint8, addr func() uint64) {
 	b.k.load2(dest, baseReg, indexReg, size, addr)
 }
 
 // Store adds a store of dataReg to the address formed from addrReg.
-func (b *Builder) Store(dataReg, addrReg int, size uint8, addr func() uint64) {
+func (b *Builder) Store(dataReg, addrReg isa.Reg, size uint8, addr func() uint64) {
 	b.k.store(dataReg, addrReg, size, addr)
 }
 
 // Branch adds a conditional branch on condReg to the named block; taken
 // decides each dynamic outcome (and may advance counters).
-func (b *Builder) Branch(condReg int, target string, taken func() bool) {
+func (b *Builder) Branch(condReg isa.Reg, target string, taken func() bool) {
 	b.k.branch(condReg, target, taken)
 }
 

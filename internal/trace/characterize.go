@@ -156,7 +156,7 @@ func Characterize(s Stream, n int) Profile {
 	p := Profile{Name: s.Name()}
 	lines := make(map[uint64]struct{})
 	pcs := make(map[uint64]struct{})
-	lastWrite := make(map[int]int) // arch reg -> instruction index
+	lastWrite := make(map[isa.Reg]int) // arch reg -> instruction index
 	depSum, depCount := 0.0, 0
 
 	// Per-window dependence state. depth/producer/class are indexed by
@@ -168,8 +168,8 @@ func Characterize(s Stream, n int) Profile {
 		producer  [ChainWindow]int32
 		classes   [ChainWindow]isa.Class
 		widths    [ChainWindow + 1]int32
-		regDef    = make(map[int]int32)
-		regDefSub = make(map[int]int32)
+		regDef    = make(map[isa.Reg]int32)
+		regDefSub = make(map[isa.Reg]int32)
 		subDepth  [ChainSubWindow]int32
 
 		depthSum     int64
@@ -317,7 +317,7 @@ func Characterize(s Stream, n int) Profile {
 		// Window dependence depth.
 		var d, dSub int32 = 1, 1
 		var prod int32 = -1
-		for _, src := range [...]int{in.Src1, in.Src2} {
+		for _, src := range [...]isa.Reg{in.Src1, in.Src2} {
 			if src == isa.RegNone || src == isa.RegZero {
 				continue
 			}

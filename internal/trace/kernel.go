@@ -18,9 +18,9 @@ const maxFill = 1 << 20
 
 type staticOp struct {
 	class isa.Class
-	src1  int
-	src2  int
-	dest  int
+	src1  isa.Reg
+	src2  isa.Reg
+	dest  isa.Reg
 	size  uint8
 	pc    uint64
 
@@ -80,28 +80,28 @@ func (b *kernelBuilder) add(op staticOp) {
 }
 
 // op adds a register-to-register operation.
-func (b *kernelBuilder) op(class isa.Class, dest, src1, src2 int) {
+func (b *kernelBuilder) op(class isa.Class, dest, src1, src2 isa.Reg) {
 	b.add(staticOp{class: class, dest: dest, src1: src1, src2: src2})
 }
 
 // load adds a load of size bytes whose address register dependence is
 // addrReg and whose dynamic address comes from addr.
-func (b *kernelBuilder) load(dest, addrReg int, size uint8, addr func() uint64) {
+func (b *kernelBuilder) load(dest, addrReg isa.Reg, size uint8, addr func() uint64) {
 	b.add(staticOp{class: isa.Load, dest: dest, src1: addrReg, src2: isa.RegNone, size: size, addr: addr})
 }
 
 // load2 adds a load whose address depends on two registers (base + index).
-func (b *kernelBuilder) load2(dest, addrReg1, addrReg2 int, size uint8, addr func() uint64) {
+func (b *kernelBuilder) load2(dest, addrReg1, addrReg2 isa.Reg, size uint8, addr func() uint64) {
 	b.add(staticOp{class: isa.Load, dest: dest, src1: addrReg1, src2: addrReg2, size: size, addr: addr})
 }
 
 // store adds a store of dataReg to the address formed from addrReg.
-func (b *kernelBuilder) store(dataReg, addrReg int, size uint8, addr func() uint64) {
+func (b *kernelBuilder) store(dataReg, addrReg isa.Reg, size uint8, addr func() uint64) {
 	b.add(staticOp{class: isa.Store, dest: isa.RegNone, src1: dataReg, src2: addrReg, size: size, addr: addr})
 }
 
 // branch adds a conditional branch on condReg to the named block.
-func (b *kernelBuilder) branch(condReg int, target string, taken func() bool) {
+func (b *kernelBuilder) branch(condReg isa.Reg, target string, taken func() bool) {
 	b.add(staticOp{class: isa.Branch, dest: isa.RegNone, src1: condReg, src2: isa.RegNone, taken: taken, target: target})
 }
 

@@ -20,31 +20,40 @@ import (
 func EncodeInst(w *codec.Writer, in *isa.Inst) {
 	w.U64(in.PC)
 	w.U8(uint8(in.Class))
-	w.Int(in.Src1)
-	w.Int(in.Src2)
-	w.Int(in.Dest)
+	w.Int(int(in.Src1))
+	w.Int(int(in.Src2))
+	w.Int(int(in.Dest))
 	w.U64(in.Addr)
 	w.U8(in.Size)
 	w.Bool(in.Taken)
 	w.U64(in.Target)
 }
 
-// DecodeInst reads one instruction record and validates it.
+// DecodeInst reads one instruction record and validates it. Registers
+// are encoded as full ints; each is range-checked before it is narrowed
+// to isa.Reg, so an out-of-range value cannot wrap into a valid one.
 func DecodeInst(r *codec.Reader) (isa.Inst, error) {
 	in := isa.Inst{
 		PC:    r.U64(),
 		Class: isa.Class(r.U8()),
-		Src1:  r.Int(),
-		Src2:  r.Int(),
-		Dest:  r.Int(),
-		Addr:  r.U64(),
-		Size:  r.U8(),
-		Taken: r.Bool(),
 	}
+	var regs [3]int
+	for i := range regs {
+		regs[i] = r.Int()
+	}
+	in.Addr = r.U64()
+	in.Size = r.U8()
+	in.Taken = r.Bool()
 	in.Target = r.U64()
 	if err := r.Err(); err != nil {
 		return isa.Inst{}, err
 	}
+	for _, v := range regs {
+		if v != isa.RegNone && (v < 0 || v >= isa.NumRegs) {
+			return isa.Inst{}, fmt.Errorf("trace: decoded register %d out of range at pc %#x", v, in.PC)
+		}
+	}
+	in.Src1, in.Src2, in.Dest = isa.Reg(regs[0]), isa.Reg(regs[1]), isa.Reg(regs[2])
 	if err := in.Validate(); err != nil {
 		return isa.Inst{}, fmt.Errorf("trace: decoded instruction invalid: %w", err)
 	}

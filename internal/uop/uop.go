@@ -86,7 +86,7 @@ func New(seq int64, in isa.Inst) *UOp {
 // actually has (RegNone and the zero register do not count).
 func (u *UOp) NumSources() int {
 	n := 0
-	for _, s := range [...]int{u.Inst.Src1, u.Inst.Src2} {
+	for _, s := range [...]isa.Reg{u.Inst.Src1, u.Inst.Src2} {
 		if s != isa.RegNone && s != isa.RegZero {
 			n++
 		}
@@ -96,7 +96,7 @@ func (u *UOp) NumSources() int {
 
 // Src returns the architectural register of source operand j (0 or 1), or
 // RegNone.
-func (u *UOp) Src(j int) int {
+func (u *UOp) Src(j int) isa.Reg {
 	if j == 0 {
 		return u.Inst.Src1
 	}

@@ -22,7 +22,7 @@ func TestNewDefaults(t *testing.T) {
 
 func TestNumSources(t *testing.T) {
 	cases := []struct {
-		src1, src2 int
+		src1, src2 isa.Reg
 		want       int
 	}{
 		{1, 2, 2},
