@@ -10,8 +10,6 @@
 //	iqbench -experiment fig2
 //	iqbench -experiment fig3 -n 100000 -warm 500000
 //	iqbench -experiment table2 -benchmarks swim,equake
-//	iqbench -perf-json BENCH_3.json # simulator performance baseline
-//	iqbench -perf-compare auto      # fresh capture vs newest checked-in baseline
 //	iqbench -smt-sweep              # SMT matrix: context sets × designs × 2/4 contexts
 //	iqbench -smt-sweep -benchmarks swim+twolf,mgrid+gcc
 //
@@ -34,7 +32,7 @@
 // results.
 //
 // A coordinator replaces the static -shard split with leased jobs:
-// one host enumerates the grid, workers pull cost-ordered batches and
+// one host enumerates the grid, workers pull longest-first batches and
 // upload results, crashed workers' leases expire back into the queue,
 // and completed fragments are spooled so a coordinator restart loses
 // nothing. The merged output is byte-identical to the single-process
@@ -58,7 +56,6 @@ import (
 
 	"repro/internal/coord"
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/sim"
 )
 
@@ -71,9 +68,6 @@ func main() {
 		seed           = flag.Uint64("seed", 1, "workload seed")
 		benches        = flag.String("benchmarks", "", "comma-separated benchmark subset (default all)")
 		par            = flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		perfJSON       = flag.String("perf-json", "", "measure simulator performance (pinned workloads) and write a BENCH json baseline to this path, instead of running experiments")
-		perfCompare    = flag.String("perf-compare", "", "measure simulator performance and compare against the BENCH json baseline at this path (warn-only), instead of running experiments; \"auto\" picks the highest-numbered BENCH_<n>.json in the current directory")
-		perfThresh     = flag.Float64("perf-threshold", 0.5, "tolerated fractional slowdown for -perf-compare (0.5 = 50%)")
 		ckptDir        = flag.String("ckpt-dir", "", "directory backing the warm-checkpoint cache: warmups found there are loaded instead of re-simulated, new ones are saved for later runs")
 		ckptURL        = flag.String("ckpt-url", "", "base URL of a remote checkpoint store (iqbench -ckpt-serve) shared by sweep shards on different hosts; overrides -ckpt-dir, degrades to local warmups if unreachable")
 		ckptServe      = flag.String("ckpt-serve", "", "serve the -ckpt-dir checkpoint store over HTTP at this address (e.g. :8377) instead of running experiments")
@@ -105,59 +99,6 @@ func main() {
 		if err := http.ListenAndServe(*ckptServe, sim.NewStoreHandler(*ckptDir)); err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: ckpt-serve: %v\n", err)
 			os.Exit(1)
-		}
-		return
-	}
-
-	if *perfJSON != "" || *perfCompare != "" {
-		if *perfCompare == "auto" {
-			latest, err := perf.LatestBaseline(".")
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			*perfCompare = latest
-		}
-		start := time.Now()
-		b := perf.Measure(*noSkip)
-		for _, w := range b.Workloads {
-			fmt.Printf("%-28s %12.0f ns/op %8d B/op %6d allocs/op", w.Name, w.NsPerOp, w.BytesPerOp, w.AllocsPerOp)
-			if w.SimMIPS > 0 {
-				fmt.Printf(" %8.3f simMIPS %8.0f ns/simcycle", w.SimMIPS, w.NsPerSimCycle)
-			}
-			if w.SkipWindows > 0 {
-				fmt.Printf(" [skip: %d cycles / %d windows]", w.SkippedCycles, w.SkipWindows)
-			}
-			if w.PrefixTotalCycles > 0 {
-				fmt.Printf(" [prefix: %d/%d cycles shared]", w.PrefixSharedCycles, w.PrefixTotalCycles)
-			}
-			if w.PrescreenScreened > 0 {
-				fmt.Printf(" [prescreen: %d/%d simulated, audit rho %.3f]",
-					w.PrescreenSimulated, w.PrescreenScreened, w.PrescreenAuditRho)
-			}
-			fmt.Println()
-		}
-		if *perfJSON != "" {
-			if err := b.WriteJSON(*perfJSON); err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Printf("[perf baseline written to %s in %.1fs]\n", *perfJSON, time.Since(start).Seconds())
-		}
-		if *perfCompare != "" {
-			base, err := perf.ReadJSON(*perfCompare)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "iqbench: %v\n", err)
-				os.Exit(1)
-			}
-			warnings := perf.Compare(base, b, *perfThresh)
-			if len(warnings) == 0 {
-				fmt.Printf("[no perf regressions vs %s (threshold %.0f%%), %.1fs]\n",
-					*perfCompare, 100**perfThresh, time.Since(start).Seconds())
-			}
-			for _, w := range warnings {
-				fmt.Printf("WARNING: %s\n", w)
-			}
 		}
 		return
 	}
@@ -283,122 +224,24 @@ func main() {
 		return
 	}
 
-	run := func(name string, f func() error) {
+	names := []string{*exp}
+	switch {
+	case *exp == "all":
+		// The SMT matrix goes beyond the paper's evaluation, so it runs
+		// only when asked for (-smt-sweep / -experiment smt), not under
+		// "all".
+		names = []string{"fig2", "table2", "fig3", "intext", "related", "power", "ablations"}
+	case headings[*exp] == "":
+		fmt.Fprintf(os.Stderr, "iqbench: unknown experiment %q\n", *exp)
+		os.Exit(2)
+	}
+	for _, name := range names {
 		start := time.Now()
-		if err := f(); err != nil {
+		if err := render(name, o, nil); err != nil {
 			fmt.Fprintf(os.Stderr, "iqbench: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 		fmt.Printf("[%s completed in %.1fs]\n\n", name, time.Since(start).Seconds())
-	}
-
-	all := *exp == "all"
-	any := false
-	if all || *exp == "fig2" {
-		any = true
-		run("fig2", func() error {
-			r, err := experiments.Fig2(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Figure 2: 512-entry segmented IQ relative to ideal 512-entry IQ")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "table2" {
-		any = true
-		run("table2", func() error {
-			r, err := experiments.Table2(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Table 2: chain usage, 512-entry segmented IQ, unlimited chains")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "fig3" {
-		any = true
-		run("fig3", func() error {
-			r, err := experiments.Fig3(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Figure 3: IPC across IQ sizes (prescheduled cells show their own capacity)")
-			tabs := r.Tables()
-			for _, wl := range r.Benchmarks {
-				fmt.Print(tabs[wl].String())
-				fmt.Println()
-			}
-			return nil
-		})
-	}
-	if all || *exp == "intext" {
-		any = true
-		run("intext", func() error {
-			r, err := experiments.InText(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("In-text measurements (§4.3, §4.4, §4.5, §6.1)")
-			fmt.Print(experiments.InTextTable(r).String())
-			return nil
-		})
-	}
-	if all || *exp == "related" {
-		any = true
-		run("related", func() error {
-			r, err := experiments.RelatedWork(o, 256)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Related work (§2): dependence-based designs at 256 slots")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "power" {
-		any = true
-		run("power", func() error {
-			r, err := experiments.Power(o, 512, experiments.DefaultEnergyWeights())
-			if err != nil {
-				return err
-			}
-			fmt.Println("Power proxy (§7): 512-entry queues, event-energy units per instruction")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if all || *exp == "ablations" {
-		any = true
-		run("ablations", func() error {
-			r, err := experiments.Ablations(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("Design ablations: IPC at 512 entries, 128 chains, HMP+LRP")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	// The SMT matrix goes beyond the paper's evaluation, so it runs only
-	// when asked for (-smt-sweep / -experiment smt), not under "all".
-	if *exp == "smt" {
-		any = true
-		run("smt", func() error {
-			r, err := experiments.SMT(o)
-			if err != nil {
-				return err
-			}
-			fmt.Println("SMT matrix (§7): aggregate IPC (per-context committed) per queue design and context count")
-			fmt.Print(r.Table().String())
-			return nil
-		})
-	}
-	if !any {
-		fmt.Fprintf(os.Stderr, "iqbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
 	}
 	printCkptStats(o)
 }
@@ -413,17 +256,11 @@ func serveCoordinator(addr, experiment string, o experiments.Options, spoolDir s
 	if experiment == "" || experiment == "all" {
 		return fmt.Errorf("-coord needs a single -experiment (the grid to distribute)")
 	}
-	costs, err := perf.LoadCostModel(".")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "[coord: no perf baseline (%v); ordering jobs by instruction count]\n", err)
-		costs = nil
-	}
 	s, err := coord.NewServer(coord.Config{
 		Experiment: experiment,
 		Options:    o,
 		SpoolDir:   spoolDir,
 		LeaseTTL:   leaseTTL,
-		Costs:      costs,
 		CkptDir:    ckptDir,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -513,62 +350,103 @@ func mergeShardFiles(paths []string, out string) error {
 	}
 	fmt.Fprintf(os.Stderr, "[merged %d shards: %d grid points of %s]\n",
 		len(files), len(merged.Results), merged.Experiment)
-	return renderMerged(merged)
+	return render(merged.Experiment, merged.Options(), merged.SimResults())
 }
 
-// renderMerged prints the experiment tables assembled from a merged
-// shard file, matching the output of the corresponding direct run.
-func renderMerged(sf *experiments.ShardFile) error {
-	o, res := sf.Options(), sf.SimResults()
-	switch sf.Experiment {
+// headings are the experiments iqbench renders, each with the line
+// printed above its tables.
+var headings = map[string]string{
+	"fig2":      "Figure 2: 512-entry segmented IQ relative to ideal 512-entry IQ",
+	"table2":    "Table 2: chain usage, 512-entry segmented IQ, unlimited chains",
+	"fig3":      "Figure 3: IPC across IQ sizes (prescheduled cells show their own capacity)",
+	"intext":    "In-text measurements (§4.3, §4.4, §4.5, §6.1)",
+	"related":   "Related work (§2): dependence-based designs at 256 slots",
+	"power":     "Power proxy (§7): 512-entry queues, event-energy units per instruction",
+	"ablations": "Design ablations: IPC at 512 entries, 128 chains, HMP+LRP",
+	"smt":       "SMT matrix (§7): aggregate IPC (per-context committed) per queue design and context count",
+}
+
+// render prints one experiment's heading and tables. The text is the
+// same whether the grid runs here (res nil) or comes from a merged
+// shard file's results.
+func render(name string, o experiments.Options, res map[string]*sim.Result) error {
+	var text strings.Builder
+	switch name {
 	case "fig2":
-		r, err := experiments.Fig2From(o, res)
+		r, err := assemble(o, res, experiments.Fig2, experiments.Fig2From)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 2: 512-entry segmented IQ relative to ideal 512-entry IQ")
-		fmt.Print(r.Table().String())
+		text.WriteString(r.Table().String())
 	case "table2":
-		r, err := experiments.Table2From(o, res)
+		r, err := assemble(o, res, experiments.Table2, experiments.Table2From)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Table 2: chain usage, 512-entry segmented IQ, unlimited chains")
-		fmt.Print(r.Table().String())
+		text.WriteString(r.Table().String())
 	case "fig3":
-		r, err := experiments.Fig3From(o, res)
+		r, err := assemble(o, res, experiments.Fig3, experiments.Fig3From)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Figure 3: IPC across IQ sizes (prescheduled cells show their own capacity)")
 		tabs := r.Tables()
 		for _, wl := range r.Benchmarks {
-			fmt.Print(tabs[wl].String())
-			fmt.Println()
+			text.WriteString(tabs[wl].String() + "\n")
 		}
 	case "intext":
-		r, err := experiments.InTextFrom(o, res)
+		r, err := assemble(o, res, experiments.InText, experiments.InTextFrom)
 		if err != nil {
 			return err
 		}
-		fmt.Println("In-text measurements (§4.3, §4.4, §4.5, §6.1)")
-		fmt.Print(experiments.InTextTable(r).String())
+		text.WriteString(experiments.InTextTable(r).String())
+	case "related":
+		r, err := assemble(o, res, func(o experiments.Options) (*experiments.RelatedResult, error) {
+			return experiments.RelatedWork(o, 256)
+		}, nil)
+		if err != nil {
+			return err
+		}
+		text.WriteString(r.Table().String())
+	case "power":
+		r, err := assemble(o, res, func(o experiments.Options) (*experiments.PowerResult, error) {
+			return experiments.Power(o, 512, experiments.DefaultEnergyWeights())
+		}, nil)
+		if err != nil {
+			return err
+		}
+		text.WriteString(r.Table().String())
 	case "ablations":
-		r, err := experiments.AblationsFrom(o, res)
+		r, err := assemble(o, res, experiments.Ablations, experiments.AblationsFrom)
 		if err != nil {
 			return err
 		}
-		fmt.Println("Design ablations: IPC at 512 entries, 128 chains, HMP+LRP")
-		fmt.Print(r.Table().String())
+		text.WriteString(r.Table().String())
 	case "smt":
-		r, err := experiments.SMTFrom(o, res)
+		r, err := assemble(o, res, experiments.SMT, experiments.SMTFrom)
 		if err != nil {
 			return err
 		}
-		fmt.Println("SMT matrix (§7): aggregate IPC (per-context committed) per queue design and context count")
-		fmt.Print(r.Table().String())
+		text.WriteString(r.Table().String())
 	default:
-		return fmt.Errorf("no renderer for experiment %q", sf.Experiment)
+		return fmt.Errorf("no renderer for experiment %q", name)
 	}
+	fmt.Println(headings[name])
+	fmt.Print(text.String())
 	return nil
+}
+
+// assemble runs an experiment's grid when res is nil and builds the
+// experiment from res otherwise. An experiment without a shardable grid
+// passes a nil from.
+func assemble[R any](o experiments.Options, res map[string]*sim.Result,
+	run func(experiments.Options) (R, error),
+	from func(experiments.Options, map[string]*sim.Result) (R, error)) (R, error) {
+	if res == nil {
+		return run(o)
+	}
+	if from == nil {
+		var zero R
+		return zero, fmt.Errorf("experiment has no shardable grid")
+	}
+	return from(o, res)
 }

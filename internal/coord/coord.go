@@ -23,12 +23,12 @@
 //     finished twice, the first result wins (both are identical by
 //     determinism anyway).
 //
-// Assignment is cost-weighted: jobs are handed out most-expensive
-// first (longest-processing-time order), priced per workload from the
-// newest BENCH_<n>.json baseline via perf's cost model, falling back
-// to instruction-count heuristics. Compared with the static round-robin
-// `-shard i/n` split, the straggler shard shrinks: the expensive points
-// spread across workers first and the cheap tail load-balances itself.
+// Assignment is longest-processing-time first: a job's cost is its
+// measured instructions times its hardware contexts, so SMT points lease
+// before single-context ones. Ties break by workload, then key, which
+// keeps each context set's jobs contiguous (a worker's kept warm
+// checkpoint serves consecutive leases) and makes the queue identical
+// across restarts.
 package coord
 
 import (
@@ -44,7 +44,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perf"
 	"repro/internal/sim"
 )
 
@@ -72,9 +71,6 @@ type Config struct {
 	// MaxLease caps the jobs handed out per lease request (workers may
 	// ask for fewer). Zero means 4.
 	MaxLease int
-	// Costs prices grid points for assignment order; nil falls back to
-	// the instruction-count heuristic (perf's nil-model behaviour).
-	Costs *perf.CostModel
 	// CkptDir, when set, additionally serves the PR 5 checkpoint-store
 	// protocol under /ckpt/ from this directory, so workers can share
 	// warmups through the coordinator itself.
@@ -171,16 +167,15 @@ type Server struct {
 	cfg  Config
 	spec Spec
 
-	mu       sync.Mutex
-	merged   *experiments.ShardFile // accumulates completed results
-	rank     map[string]int         // job key → cost order position
-	workload map[string]string      // job key → "+"-joined context set
-	pending  []string               // unleased, undone keys, cost order
-	leases   map[string]*lease      // leased keys
-	workers  map[string]*workerState
-	fragSeq  int
-	done     chan struct{}
-	closed   bool
+	mu      sync.Mutex
+	merged  *experiments.ShardFile // accumulates completed results
+	rank    map[string]int         // job key → cost order position
+	pending []string               // unleased, undone keys, cost order
+	leases  map[string]*lease      // leased keys
+	workers map[string]*workerState
+	fragSeq int
+	done    chan struct{}
+	closed  bool
 }
 
 type workerState struct {
@@ -218,37 +213,29 @@ func NewServer(cfg Config) (*Server, error) {
 			LeaseTTLMs:   cfg.LeaseTTL.Milliseconds(),
 			SharedStore:  cfg.CkptDir != "",
 		},
-		rank:     make(map[string]int, len(jobs)),
-		workload: make(map[string]string, len(jobs)),
-		leases:   make(map[string]*lease),
-		workers:  make(map[string]*workerState),
-		done:     make(chan struct{}),
+		rank:    make(map[string]int, len(jobs)),
+		leases:  make(map[string]*lease),
+		workers: make(map[string]*workerState),
+		done:    make(chan struct{}),
 	}
-	// Most-expensive-first. Ties break by workload, then key: cost
-	// depends only on the workload, so each context set's jobs are
-	// contiguous and a worker's kept checkpoint serves consecutive
-	// leases; and every restart derives the identical queue.
-	type ranked struct {
-		experiments.JobSpec
-		cost float64
+	// Most-expensive-first: a job costs its instructions on every
+	// context. Ties break by workload, then key, so each context set's
+	// jobs are contiguous and every restart derives the identical queue.
+	cost := func(j experiments.JobSpec) int64 {
+		return cfg.Options.Instructions * int64(experiments.ContextCount(j.Workload))
 	}
-	order := make([]ranked, len(jobs))
-	for i, j := range jobs {
-		order[i] = ranked{j, cfg.Costs.Cost(j.Workload, cfg.Options.Instructions)}
-		s.workload[j.Key] = j.Workload
-	}
-	sort.Slice(order, func(i, k int) bool {
-		a, b := order[i], order[k]
-		if a.cost != b.cost {
-			return a.cost > b.cost
+	sort.Slice(jobs, func(i, k int) bool {
+		a, b := jobs[i], jobs[k]
+		if ca, cb := cost(a), cost(b); ca != cb {
+			return ca > cb
 		}
 		if a.Workload != b.Workload {
 			return a.Workload < b.Workload
 		}
 		return a.Key < b.Key
 	})
-	s.pending = make([]string, len(order))
-	for i, j := range order {
+	s.pending = make([]string, len(jobs))
+	for i, j := range jobs {
 		s.rank[j.Key] = i
 		s.pending[i] = j.Key
 	}
@@ -258,23 +245,12 @@ func NewServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// JobCost pairs a job key with its estimated cost; exported for tests
-// and tooling that want to inspect assignment order.
-type JobCost struct {
-	Key  string
-	Cost float64
-}
-
 // Queue returns the current pending queue in assignment order (a
 // copy). Diagnostic; the authoritative state lives behind the mutex.
-func (s *Server) Queue() []JobCost {
+func (s *Server) Queue() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]JobCost, len(s.pending))
-	for i, k := range s.pending {
-		out[i] = JobCost{Key: k, Cost: s.cfg.Costs.Cost(s.workload[k], s.cfg.Options.Instructions)}
-	}
-	return out
+	return append([]string(nil), s.pending...)
 }
 
 func (s *Server) now() time.Time {

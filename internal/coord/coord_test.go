@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/perf"
 )
 
 // coordTestOptions is the smallest interesting grid: table2 over swim
@@ -408,70 +407,64 @@ func TestWorkerLoop(t *testing.T) {
 	}
 }
 
-// TestQueueCostOrder: with a measured baseline the queue is
-// longest-processing-time ordered — every swim job (priced 3× gcc)
-// precedes every gcc job, and costs are non-increasing.
+// TestQueueCostOrder: the queue is longest-processing-time ordered by
+// instructions × contexts, so every 4-context SMT point leases before
+// every 2-context one. Equal costs group by workload, so each context
+// set's jobs lease back to back (a worker's kept checkpoint serves them
+// all), and a second server — a restart — derives the identical queue.
 func TestQueueCostOrder(t *testing.T) {
-	o := coordTestOptions()
-	o.Benchmarks = []string{"swim", "gcc"}
-	costs := perf.NewCostModel(perf.Baseline{
-		Schema: perf.Schema,
-		Workloads: []perf.Metrics{
-			{Name: "table1_segmented_swim", NsPerOp: 3e9, SimInstructions: 1e6},
-			{Name: "table1_segmented_gcc", NsPerOp: 1e9, SimInstructions: 1e6},
-		},
-	})
-	s, err := NewServer(Config{
-		Experiment: "table2",
-		Options:    o,
-		SpoolDir:   t.TempDir(),
-		Costs:      costs,
-	})
-	if err != nil {
-		t.Fatal(err)
+	cases := []struct {
+		experiment string
+		benchmarks []string
+		jobs       int
+	}{
+		{"fig2", []string{"swim", "gcc"}, 26},
+		{"smt", nil, 20},
 	}
-	q := s.Queue()
-	if len(q) != 8 {
-		t.Fatalf("queue has %d jobs, want 8", len(q))
-	}
-	for i, jc := range q {
-		if i > 0 && jc.Cost > q[i-1].Cost {
-			t.Fatalf("queue not cost-descending at %d: %v", i, q)
-		}
-		wantSwim := i < 4
-		if strings.HasSuffix(jc.Key, "/swim") != wantSwim {
-			t.Fatalf("queue position %d is %s; want all swim jobs first: %v", i, jc.Key, q)
-		}
-	}
-
-	// Without a cost model every job costs the same. Ties group by
-	// workload, so each context set's jobs lease back to back (a worker's
-	// kept checkpoint serves them all), and a second server — a restart —
-	// derives the identical queue.
-	cfg := Config{Experiment: "fig2", Options: o, SpoolDir: t.TempDir()}
-	s1, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q1 := s1.Queue()
-	if len(q1) != 26 {
-		t.Fatalf("fig2 queue has %d jobs, want 26", len(q1))
-	}
-	done := make(map[string]bool)
-	for i, jc := range q1 {
-		wl := jc.Key[strings.LastIndex(jc.Key, "/")+1:]
-		if i > 0 && !strings.HasSuffix(q1[i-1].Key, "/"+wl) && done[wl] {
-			t.Fatalf("%s jobs are not contiguous at position %d: %v", wl, i, q1)
-		}
-		done[wl] = true
-	}
-	cfg.SpoolDir = t.TempDir()
-	s2, err := NewServer(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q2 := s2.Queue(); !reflect.DeepEqual(q1, q2) {
-		t.Fatalf("two servers derived different queues:\n%v\n%v", q1, q2)
+	for _, tc := range cases {
+		t.Run(tc.experiment, func(t *testing.T) {
+			o := coordTestOptions()
+			o.Benchmarks = tc.benchmarks
+			_, specs, err := experiments.GridPlan(o, tc.experiment)
+			if err != nil {
+				t.Fatal(err)
+			}
+			workload := make(map[string]string, len(specs))
+			for _, j := range specs {
+				workload[j.Key] = j.Workload
+			}
+			cfg := Config{Experiment: tc.experiment, Options: o, SpoolDir: t.TempDir()}
+			s1, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			q1 := s1.Queue()
+			if len(q1) != tc.jobs {
+				t.Fatalf("queue has %d jobs, want %d", len(q1), tc.jobs)
+			}
+			done := make(map[string]bool)
+			for i, key := range q1 {
+				wl := workload[key]
+				if i > 0 {
+					prev := workload[q1[i-1]]
+					if prev != wl && done[wl] {
+						t.Fatalf("%s jobs are not contiguous at position %d: %v", wl, i, q1)
+					}
+					if experiments.ContextCount(prev) < experiments.ContextCount(wl) {
+						t.Fatalf("%s (%s) follows %s (%s) with fewer contexts: %v", key, wl, q1[i-1], prev, q1)
+					}
+				}
+				done[wl] = true
+			}
+			cfg.SpoolDir = t.TempDir()
+			s2, err := NewServer(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if q2 := s2.Queue(); !reflect.DeepEqual(q1, q2) {
+				t.Fatalf("two servers derived different queues:\n%v\n%v", q1, q2)
+			}
+		})
 	}
 }
 

@@ -14,8 +14,8 @@ import (
 // run would have written.
 
 // JobSpec describes one grid point for scheduling purposes: its stable
-// key and the "+"-joined context set it simulates (the workload string
-// is what a cost model prices).
+// key and the "+"-joined context set it simulates (the coordinator
+// orders jobs by its context count, and groups them by it).
 type JobSpec struct {
 	// Key is the grid point's unique key, stable across processes.
 	Key string

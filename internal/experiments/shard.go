@@ -117,7 +117,7 @@ type ShardFile struct {
 // a pre-screened sweep's shard file records only the simulated points,
 // exactly as a cold sweep of the same selection would, and the
 // screening outcome goes to the summary line (iqbench's
-// [prescreen: ...]) and the perf baseline's prescreen_* fields.
+// [prescreen: ...]).
 
 // RunShard simulates shard `shard` of `numShards` of the named
 // experiment's grid under o. Shard 0 of 1 is exactly the full grid.
@@ -213,7 +213,7 @@ func (sf *ShardFile) SimResults() map[string]*sim.Result {
 // MergeShards recombines one complete set of shard files into the file a
 // single-process run would have written (shard 0 of 1): same experiment,
 // same scale, every shard present exactly once, every grid point covered
-// exactly once.
+// exactly once, each with a result.
 func MergeShards(files []*ShardFile) (*ShardFile, error) {
 	if len(files) == 0 {
 		return nil, fmt.Errorf("experiments: merge of zero shard files")
@@ -254,6 +254,9 @@ func MergeShards(files []*ShardFile) (*ShardFile, error) {
 		}
 		seen[sf.Shard] = true
 		for key, r := range sf.Results {
+			if r == nil {
+				return nil, fmt.Errorf("experiments: shard %d result %q is null", sf.Shard, key)
+			}
 			if merged.Results[key] != nil {
 				return nil, fmt.Errorf("experiments: grid point %s in more than one shard", key)
 			}

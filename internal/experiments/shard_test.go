@@ -187,6 +187,11 @@ func TestMergeShardsRejectsBadSets(t *testing.T) {
 			b.Results[k] = s0.Results[k] // the same point in both shards
 			return []*ShardFile{s0, b}
 		}, "more than one shard"},
+		{"null result", func() []*ShardFile {
+			b := clone(s1)
+			b.Results[anyKey(b)] = nil // decodes from {"key": null}
+			return []*ShardFile{s0, b}
+		}, "is null"},
 		{"missing grid point", func() []*ShardFile {
 			b := clone(s1)
 			delete(b.Results, anyKey(b))

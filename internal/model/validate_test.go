@@ -11,7 +11,7 @@ import (
 	"repro/internal/trace"
 )
 
-// referenceGrid is the validation grid: the shapes the BENCH/Fig3 sweeps
+// referenceGrid is the validation grid: the shapes the Fig2/Fig3 sweeps
 // actually explore — every queue design across sizes, chain budgets for
 // the segmented design, and ROB variations — small enough to simulate
 // fully in a test run.

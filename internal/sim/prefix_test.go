@@ -154,6 +154,10 @@ func TestRunFamilyFullShare(t *testing.T) {
 			func(c Config, b int) Config { c.QueueSize = b; return c }},
 		{"segmented", SegmentedConfig(256, 0, true, true), "chains",
 			func(c Config, b int) Config { c.Segmented.MaxChains = b; return c }},
+		// The paper's 512-entry geometry, whose unlimited-chain
+		// reference Figure 2's chain budgets are siblings of.
+		{"segmented512", SegmentedConfig(512, 0, true, true), "chains",
+			func(c Config, b int) Config { c.Segmented.MaxChains = b; return c }},
 	}
 	for _, tc := range cases {
 		tc := tc
